@@ -75,27 +75,59 @@ Status ReadRecordIds(BinaryReader* reader, size_t limit,
   return Status::OK();
 }
 
-/// Finalize a refcount-delta pass: compare each touched pair's pre-batch
-/// refcount snapshot against its current one, emit membership transitions,
-/// and drop zero entries. Deltas are sorted so callers see a deterministic
-/// order regardless of hash-map iteration.
-CandidateDelta FinalizeDelta(
-    const std::unordered_map<RecordPair, uint32_t, RecordPairHash>& old_ref,
-    std::unordered_map<RecordPair, uint32_t, RecordPairHash>* refcount) {
-  CandidateDelta delta;
-  for (const auto& [pair, old_count] : old_ref) {
-    auto it = refcount->find(pair);
-    const uint32_t now = it == refcount->end() ? 0 : it->second;
-    if (old_count == 0 && now > 0) {
-      delta.added.push_back(pair);
-    } else if (old_count > 0 && now == 0) {
-      delta.removed.push_back(pair);
-    }
-    if (now == 0 && it != refcount->end()) refcount->erase(it);
+using RefcountMap = std::unordered_map<RecordPair, uint32_t, RecordPairHash>;
+
+/// One mutation's refcount bookkeeping. Bump adjusts a pair's refcount and
+/// snapshots its pre-mutation value once; Finish compares each touched
+/// pair's snapshot against its current count, emits the membership
+/// transitions and drops zero entries. Deltas are sorted so callers see a
+/// deterministic order regardless of hash-map iteration.
+class RefcountDelta {
+ public:
+  explicit RefcountDelta(RefcountMap* refcount) : refcount_(refcount) {}
+
+  void Bump(const RecordPair& pair, int delta) {
+    uint32_t& count = (*refcount_)[pair];
+    old_ref_.emplace(pair, count);
+    count = static_cast<uint32_t>(static_cast<int>(count) + delta);
   }
-  std::sort(delta.added.begin(), delta.added.end());
-  std::sort(delta.removed.begin(), delta.removed.end());
-  return delta;
+
+  CandidateDelta Finish() {
+    CandidateDelta delta;
+    for (const auto& [pair, old_count] : old_ref_) {
+      auto it = refcount_->find(pair);
+      const uint32_t now = it == refcount_->end() ? 0 : it->second;
+      if (old_count == 0 && now > 0) {
+        delta.added.push_back(pair);
+      } else if (old_count > 0 && now == 0) {
+        delta.removed.push_back(pair);
+      }
+      if (now == 0 && it != refcount_->end()) refcount_->erase(it);
+    }
+    std::sort(delta.added.begin(), delta.added.end());
+    std::sort(delta.removed.begin(), delta.removed.end());
+    return delta;
+  }
+
+ private:
+  RefcountMap* refcount_;
+  RefcountMap old_ref_;
+};
+
+bool Eligible(uint32_t df, uint32_t max_df) { return df >= 2 && df <= max_df; }
+
+/// Per-thread scratch for ranking: a dense overlap counter indexed by record
+/// id, kept all-zero between rankings by resetting only the entries listed
+/// in `touched`, so one ranking costs the postings it scans, not the table.
+struct OverlapCounter {
+  std::vector<uint32_t> count;
+  std::vector<RecordId> touched;
+};
+
+OverlapCounter& ThreadCounter(size_t num_records) {
+  thread_local OverlapCounter counter;
+  if (counter.count.size() < num_records) counter.count.resize(num_records);
+  return counter;
 }
 
 }  // namespace
@@ -104,35 +136,123 @@ CandidateDelta FinalizeDelta(
 // Token Overlap
 // ---------------------------------------------------------------------------
 
-std::vector<RecordId> IncrementalTokenOverlapIndex::RankRecord(
-    const RecordTable& records, RecordId record) const {
-  std::unordered_map<RecordId, uint32_t> overlap;
-  const SourceId source = records.at(record).source();
+std::vector<IncrementalTokenOverlapIndex::Scored>
+IncrementalTokenOverlapIndex::Overlaps(RecordId record) const {
+  OverlapCounter& counter = ThreadCounter(num_records_);
+  const SourceId source = sources_[static_cast<size_t>(record)];
   for (int32_t tid : record_tokens_[static_cast<size_t>(record)]) {
     const TokenInfo& info = tokens_[static_cast<size_t>(tid)];
-    if (info.df < 2 || info.df > max_df_) continue;
+    if (!Eligible(info.df, max_df_)) continue;
+    // The source test also skips `record` itself.
     for (RecordId other : info.postings) {
-      if (other == record) continue;
-      if (records.at(other).source() == source) continue;
-      ++overlap[other];
+      if (sources_[static_cast<size_t>(other)] == source) continue;
+      if (counter.count[static_cast<size_t>(other)]++ == 0) {
+        counter.touched.push_back(other);
+      }
     }
   }
-  std::vector<std::pair<RecordId, uint32_t>> ranked;
-  ranked.reserve(overlap.size());
-  for (const auto& [rid, cnt] : overlap) {
-    if (cnt >= options_.min_overlap) ranked.emplace_back(rid, cnt);
+  std::vector<Scored> ranked;
+  for (RecordId other : counter.touched) {
+    uint32_t& count = counter.count[static_cast<size_t>(other)];
+    if (count >= options_.min_overlap) ranked.push_back({other, count});
+    count = 0;
   }
-  const size_t keep = std::min(options_.top_n, ranked.size());
-  auto by_count_then_id = [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  };
-  std::partial_sort(ranked.begin(), ranked.begin() + static_cast<long>(keep),
-                    ranked.end(), by_count_then_id);
+  counter.touched.clear();
+  return ranked;
+}
+
+uint32_t IncrementalTokenOverlapIndex::OverlapCount(RecordId a,
+                                                    RecordId b) const {
+  uint32_t count = 0;
+  for (int32_t tid : record_tokens_[static_cast<size_t>(a)]) {
+    const TokenInfo& info = tokens_[static_cast<size_t>(tid)];
+    if (Eligible(info.df, max_df_) &&
+        std::binary_search(info.postings.begin(), info.postings.end(), b)) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+std::vector<RecordId> IncrementalTokenOverlapIndex::TopN(
+    std::vector<Scored>* ranked) const {
+  const size_t keep = std::min(options_.top_n, ranked->size());
+  std::partial_sort(ranked->begin(), ranked->begin() + static_cast<long>(keep),
+                    ranked->end(), [](const Scored& a, const Scored& b) {
+                      if (a.count != b.count) return a.count > b.count;
+                      return a.id < b.id;
+                    });
   std::vector<RecordId> kept;
   kept.reserve(keep);
-  for (size_t k = 0; k < keep; ++k) kept.push_back(ranked[k].first);
+  for (size_t k = 0; k < keep; ++k) kept.push_back((*ranked)[k].id);
   return kept;
+}
+
+std::vector<RecordId> IncrementalTokenOverlapIndex::RankRecord(
+    RecordId record) const {
+  std::vector<Scored> ranked = Overlaps(record);
+  return TopN(&ranked);
+}
+
+void IncrementalTokenOverlapIndex::SyncSources(const RecordTable& records,
+                                               size_t n) {
+  for (size_t r = sources_.size(); r < n; ++r) {
+    sources_.push_back(records.at(static_cast<RecordId>(r)).source());
+  }
+}
+
+void IncrementalTokenOverlapIndex::UpdateMaxDf() {
+  // The df cap is a fraction of the *live* record count: a from-scratch run
+  // on the survivors never sees the retracted records at all.
+  max_df_ = static_cast<uint32_t>(options_.max_token_df *
+                                  static_cast<double>(num_live_)) +
+            1;
+}
+
+std::vector<uint32_t> IncrementalTokenOverlapIndex::DocumentFrequencies()
+    const {
+  std::vector<uint32_t> df;
+  df.reserve(tokens_.size());
+  for (const TokenInfo& info : tokens_) df.push_back(info.df);
+  return df;
+}
+
+void IncrementalTokenOverlapIndex::MarkFlippedHolders(
+    const std::vector<uint32_t>& old_df, uint32_t old_max_df,
+    std::vector<char>* marks, char mark) const {
+  for (size_t tid = 0; tid < tokens_.size(); ++tid) {
+    const TokenInfo& info = tokens_[tid];
+    // The smaller df counts the holders present on both sides: a flip with
+    // fewer than two of them changes no overlap between such records. An
+    // untouched token (equal dfs) flips only when the moving cap crosses it.
+    if (std::min(old_df[tid], info.df) < 2 ||
+        Eligible(old_df[tid], old_max_df) == Eligible(info.df, max_df_)) {
+      continue;
+    }
+    for (RecordId r : info.postings) (*marks)[static_cast<size_t>(r)] = mark;
+  }
+}
+
+CandidateDelta IncrementalTokenOverlapIndex::InstallKept(
+    std::vector<KeptUpdate> updates) {
+  RefcountDelta delta(&refcount_);
+  for (KeptUpdate& update : updates) {
+    const RecordId i = update.record;
+    std::vector<RecordId>& before = kept_[static_cast<size_t>(i)];
+    const std::vector<RecordId>& after = update.kept;
+    for (RecordId o : before) {
+      if (std::find(after.begin(), after.end(), o) == after.end()) {
+        delta.Bump(RecordPair(i, o), -1);
+      }
+    }
+    for (RecordId o : after) {
+      if (std::find(before.begin(), before.end(), o) == before.end()) {
+        delta.Bump(RecordPair(i, o), +1);
+      }
+    }
+    before = std::move(update.kept);
+  }
+  return delta.Finish();
 }
 
 std::vector<std::string> IncrementalTokenOverlapIndex::ExtractKeys(
@@ -168,201 +288,174 @@ CandidateDelta IncrementalTokenOverlapIndex::AddPublishedRecords(
   const size_t old_n = num_records_;
   const size_t new_n = records.size();
   if (new_n <= old_n) return {};
-  std::vector<std::vector<std::string>>& new_tokens = published;
+  SyncSources(records, new_n);
 
-  // Intern tokens and update document frequencies / postings in place,
-  // remembering each touched token's pre-batch df.
+  // Intern tokens and update document frequencies / postings in place.
   const uint32_t old_max_df = max_df_;
-  std::unordered_map<int32_t, uint32_t> old_df;
+  std::vector<uint32_t> old_df = DocumentFrequencies();
   record_tokens_.resize(new_n);
-  for (size_t k = 0; k < new_tokens.size(); ++k) {
+  for (size_t k = 0; k < published.size(); ++k) {
     const RecordId rid = static_cast<RecordId>(old_n + k);
     auto& ids = record_tokens_[static_cast<size_t>(rid)];
-    ids.reserve(new_tokens[k].size());
-    for (auto& tok : new_tokens[k]) {
+    ids.reserve(published[k].size());
+    for (auto& tok : published[k]) {
       auto [it, inserted] =
           token_id_.emplace(std::move(tok), static_cast<int32_t>(tokens_.size()));
-      if (inserted) tokens_.emplace_back();
+      if (inserted) {
+        tokens_.emplace_back();
+        old_df.push_back(0);
+      }
       const int32_t tid = it->second;
       TokenInfo& info = tokens_[static_cast<size_t>(tid)];
-      old_df.emplace(tid, info.df);  // keeps the first (pre-batch) value
-      if (info.df > 0) df_buckets_[info.df].erase(tid);
       ++info.df;
-      df_buckets_[info.df].insert(tid);
       info.postings.push_back(rid);
       ids.push_back(tid);
     }
   }
   num_records_ = new_n;
-  num_live_ += new_tokens.size();
-  // The df cap is a fraction of the *live* record count: a from-scratch run
-  // on the survivors never sees the retracted records at all.
-  max_df_ = static_cast<uint32_t>(options_.max_token_df *
-                                  static_cast<double>(num_live_)) +
-            1;
+  num_live_ += published.size();
+  UpdateMaxDf();
 
-  // Dirty records: the new records, plus holders of any token whose
-  // postings or eligibility changed. A token matters only while eligible
-  // (2 <= df <= max_df) on at least one side of the batch; tokens that were
-  // and remain out of bounds cannot change any ranking.
-  std::vector<char> dirty(new_n, 0);
-  for (size_t r = old_n; r < new_n; ++r) dirty[r] = 1;
-  auto mark_holders = [&](int32_t tid) {
-    for (RecordId r : tokens_[static_cast<size_t>(tid)].postings) {
-      dirty[static_cast<size_t>(r)] = 1;
-    }
-  };
-  for (const auto& [tid, df_before] : old_df) {
-    const uint32_t df_now = tokens_[static_cast<size_t>(tid)].df;
-    const bool was_eligible = df_before >= 2 && df_before <= old_max_df;
-    const bool is_eligible = df_now >= 2 && df_now <= max_df_;
-    if (was_eligible || is_eligible) mark_holders(tid);
-  }
-  // The max-df cap rises with the record count: untouched tokens with df in
-  // (old cap, new cap] were over the cap and are now re-admitted.
-  for (uint32_t d = old_max_df + 1; d <= max_df_; ++d) {
-    auto bucket = df_buckets_.find(d);
-    if (bucket == df_buckets_.end()) continue;
-    for (int32_t tid : bucket->second) {
-      if (!old_df.count(tid)) mark_holders(tid);
-    }
-  }
+  // Records to re-rank: the new ones, plus the holders of every token whose
+  // eligibility flipped with at least two old holders (a touched token, or
+  // an untouched one re-admitted by the rising cap). A flip with fewer old
+  // holders changes only overlaps with new records, which the new records'
+  // own rankings see.
+  constexpr char kRerank = 1, kMerge = 2;
+  std::vector<char> role(new_n, 0);
+  std::fill(role.begin() + static_cast<long>(old_n), role.end(), kRerank);
+  MarkFlippedHolders(old_df, old_max_df, &role, kRerank);
 
-  // Re-rank every dirty record into its own slot (deterministic), then diff
-  // against its previous top-n list serially.
-  std::vector<RecordId> dirty_ids;
+  // Rank every re-ranked record into its own slot. A new record's full
+  // candidate list is kept: it holds the counts its old candidates need.
+  std::vector<RecordId> rerank_ids;
   for (size_t r = 0; r < new_n; ++r) {
-    if (dirty[r]) dirty_ids.push_back(static_cast<RecordId>(r));
+    if (role[r] == kRerank) rerank_ids.push_back(static_cast<RecordId>(r));
   }
-  std::vector<std::vector<RecordId>> new_kept(dirty_ids.size());
+  const size_t first_new = rerank_ids.size() - (new_n - old_n);
+  std::vector<std::vector<RecordId>> ranked_kept(rerank_ids.size());
+  std::vector<std::vector<Scored>> new_overlaps(new_n - old_n);
   ParallelFor(
-      pool, 0, dirty_ids.size(),
-      [&](size_t k) { new_kept[k] = RankRecord(records, dirty_ids[k]); },
+      pool, 0, rerank_ids.size(),
+      [&](size_t k) {
+        std::vector<Scored> ranked = Overlaps(rerank_ids[k]);
+        ranked_kept[k] = TopN(&ranked);
+        if (k >= first_new) new_overlaps[k - first_new] = std::move(ranked);
+      },
       /*grain=*/4);
 
-  kept_.resize(new_n);
-  std::unordered_map<RecordPair, uint32_t, RecordPairHash> old_ref;
-  auto bump = [&](const RecordPair& pair, int delta) {
-    uint32_t& count = refcount_[pair];
-    old_ref.emplace(pair, count);  // snapshot the pre-batch value once
-    count = static_cast<uint32_t>(static_cast<int>(count) + delta);
-  };
-  for (size_t k = 0; k < dirty_ids.size(); ++k) {
-    const RecordId i = dirty_ids[k];
-    const auto& before = kept_[static_cast<size_t>(i)];
-    const auto& after = new_kept[k];
-    for (RecordId o : before) {
-      if (std::find(after.begin(), after.end(), o) == after.end()) {
-        bump(RecordPair(i, o), -1);
-      }
+  // Every other old record that a new record overlaps enough merges those
+  // new records into its old list. Its overlaps with old records did not
+  // change, and a record outside its old top-n still trails all n of them.
+  std::vector<std::vector<Scored>> offers(old_n);
+  for (size_t k = 0; k < new_overlaps.size(); ++k) {
+    const RecordId r = static_cast<RecordId>(old_n + k);
+    for (const Scored& s : new_overlaps[k]) {
+      const size_t h = static_cast<size_t>(s.id);
+      if (h < old_n && role[h] != kRerank) offers[h].push_back({r, s.count});
     }
-    for (RecordId o : after) {
-      if (std::find(before.begin(), before.end(), o) == before.end()) {
-        bump(RecordPair(i, o), +1);
-      }
-    }
-    kept_[static_cast<size_t>(i)] = std::move(new_kept[k]);
   }
-  return FinalizeDelta(old_ref, &refcount_);
+  new_overlaps.clear();
+  std::vector<RecordId> merge_ids;
+  for (size_t h = 0; h < old_n; ++h) {
+    if (offers[h].empty()) continue;
+    role[h] = kMerge;
+    merge_ids.push_back(static_cast<RecordId>(h));
+  }
+  std::vector<std::vector<RecordId>> merged_kept(merge_ids.size());
+  ParallelFor(
+      pool, 0, merge_ids.size(),
+      [&](size_t k) {
+        const RecordId h = merge_ids[k];
+        std::vector<Scored>& ranked = offers[static_cast<size_t>(h)];
+        for (RecordId o : kept_[static_cast<size_t>(h)]) {
+          ranked.push_back({o, OverlapCount(h, o)});
+        }
+        merged_kept[k] = TopN(&ranked);
+      },
+      /*grain=*/16);
+
+  // Install in ascending record order, the order a full re-rank bumps the
+  // refcounts in, so even the refcount map's iteration order is unchanged.
+  std::vector<KeptUpdate> updates;
+  updates.reserve(rerank_ids.size() + merge_ids.size());
+  size_t next_ranked = 0, next_merged = 0;
+  for (size_t r = 0; r < new_n; ++r) {
+    const RecordId id = static_cast<RecordId>(r);
+    if (role[r] == kRerank) {
+      updates.push_back({id, std::move(ranked_kept[next_ranked++])});
+    } else if (role[r] == kMerge) {
+      updates.push_back({id, std::move(merged_kept[next_merged++])});
+    }
+  }
+  kept_.resize(new_n);
+  return InstallKept(std::move(updates));
 }
 
 CandidateDelta IncrementalTokenOverlapIndex::RemoveRecords(
     const RecordTable& records, const std::vector<RecordId>& removed_ids,
     ThreadPool* pool) {
   if (removed_ids.empty()) return {};
-  std::vector<char> removed(num_records_, 0);
-  for (RecordId r : removed_ids) removed[static_cast<size_t>(r)] = 1;
+  SyncSources(records, num_records_);
 
-  // Release the removed records' tokens: each df drops, its df-bucket
-  // membership moves, and the record leaves the postings (which therefore
-  // keep listing exactly the live holders). `old_df` snapshots each touched
-  // token's pre-removal df once.
+  // Release the removed records' tokens: each df drops and the record
+  // leaves the postings (which therefore keep listing exactly the live
+  // holders).
   const uint32_t old_max_df = max_df_;
-  std::unordered_map<int32_t, uint32_t> old_df;
+  const std::vector<uint32_t> old_df = DocumentFrequencies();
   for (RecordId r : removed_ids) {
     for (int32_t tid : record_tokens_[static_cast<size_t>(r)]) {
       TokenInfo& info = tokens_[static_cast<size_t>(tid)];
-      old_df.emplace(tid, info.df);
-      df_buckets_[info.df].erase(tid);
       --info.df;
-      if (info.df > 0) df_buckets_[info.df].insert(tid);
       info.postings.erase(
           std::remove(info.postings.begin(), info.postings.end(), r),
           info.postings.end());
     }
   }
   num_live_ -= removed_ids.size();
-  max_df_ = static_cast<uint32_t>(options_.max_token_df *
-                                  static_cast<double>(num_live_)) +
-            1;
+  UpdateMaxDf();
 
-  // Dirty records: live holders of any token whose postings or eligibility
-  // changed. The cap falls with the live count, so untouched tokens with df
-  // in (new cap, old cap] drop *out* of eligibility — the mirror image of
-  // the rising-cap re-admission scan in AddPublishedRecords.
-  std::vector<char> dirty(num_records_, 0);
-  auto mark_holders = [&](int32_t tid) {
-    for (RecordId r : tokens_[static_cast<size_t>(tid)].postings) {
-      dirty[static_cast<size_t>(r)] = 1;
-    }
-  };
-  for (const auto& [tid, df_before] : old_df) {
-    const uint32_t df_now = tokens_[static_cast<size_t>(tid)].df;
-    const bool was_eligible = df_before >= 2 && df_before <= old_max_df;
-    const bool is_eligible = df_now >= 2 && df_now <= max_df_;
-    if (was_eligible || is_eligible) mark_holders(tid);
-  }
-  for (uint32_t d = max_df_ + 1; d <= old_max_df; ++d) {
-    auto bucket = df_buckets_.find(d);
-    if (bucket == df_buckets_.end()) continue;
-    for (int32_t tid : bucket->second) {
-      if (!old_df.count(tid)) mark_holders(tid);
+  // Records to re-rank: the live holders of every token whose eligibility
+  // flipped with at least two live holders (a touched token, or an
+  // untouched one pushed over the falling cap), and every live record that
+  // kept a removed one and must now pull a replacement from beyond its
+  // top-n.
+  constexpr char kRerank = 1, kRemoved = 2;
+  std::vector<char> role(num_records_, 0);
+  for (RecordId r : removed_ids) role[static_cast<size_t>(r)] = kRemoved;
+  MarkFlippedHolders(old_df, old_max_df, &role, kRerank);
+  for (size_t h = 0; h < num_records_; ++h) {
+    if (role[h] != 0) continue;
+    for (RecordId o : kept_[h]) {
+      if (role[static_cast<size_t>(o)] == kRemoved) {
+        role[h] = kRerank;
+        break;
+      }
     }
   }
 
-  std::vector<RecordId> dirty_ids;
+  std::vector<RecordId> rerank_ids;
   for (size_t r = 0; r < num_records_; ++r) {
-    if (dirty[r]) dirty_ids.push_back(static_cast<RecordId>(r));
+    if (role[r] == kRerank) rerank_ids.push_back(static_cast<RecordId>(r));
   }
-  std::vector<std::vector<RecordId>> new_kept(dirty_ids.size());
+  std::vector<std::vector<RecordId>> ranked_kept(rerank_ids.size());
   ParallelFor(
-      pool, 0, dirty_ids.size(),
-      [&](size_t k) { new_kept[k] = RankRecord(records, dirty_ids[k]); },
+      pool, 0, rerank_ids.size(),
+      [&](size_t k) { ranked_kept[k] = RankRecord(rerank_ids[k]); },
       /*grain=*/4);
 
-  std::unordered_map<RecordPair, uint32_t, RecordPairHash> old_ref;
-  auto bump = [&](const RecordPair& pair, int delta) {
-    uint32_t& count = refcount_[pair];
-    old_ref.emplace(pair, count);
-    count = static_cast<uint32_t>(static_cast<int>(count) + delta);
-  };
-  // The removed records' own kept-lists retract wholesale; any live record
-  // keeping a removed one shares a (touched, previously eligible) token with
-  // it, so it is dirty and its re-ranking retracts the other half.
+  // The removed records' own kept lists retract wholesale, then the
+  // re-ranked records install theirs.
+  std::vector<KeptUpdate> updates;
+  updates.reserve(removed_ids.size() + rerank_ids.size());
   for (RecordId r : removed_ids) {
-    for (RecordId o : kept_[static_cast<size_t>(r)]) {
-      bump(RecordPair(r, o), -1);
-    }
-    kept_[static_cast<size_t>(r)].clear();
+    updates.push_back({r, {}});
     record_tokens_[static_cast<size_t>(r)].clear();
   }
-  for (size_t k = 0; k < dirty_ids.size(); ++k) {
-    const RecordId i = dirty_ids[k];
-    const auto& before = kept_[static_cast<size_t>(i)];
-    const auto& after = new_kept[k];
-    for (RecordId o : before) {
-      if (std::find(after.begin(), after.end(), o) == after.end()) {
-        bump(RecordPair(i, o), -1);
-      }
-    }
-    for (RecordId o : after) {
-      if (std::find(before.begin(), before.end(), o) == before.end()) {
-        bump(RecordPair(i, o), +1);
-      }
-    }
-    kept_[static_cast<size_t>(i)] = std::move(new_kept[k]);
+  for (size_t k = 0; k < rerank_ids.size(); ++k) {
+    updates.push_back({rerank_ids[k], std::move(ranked_kept[k])});
   }
-  return FinalizeDelta(old_ref, &refcount_);
+  return InstallKept(std::move(updates));
 }
 
 std::vector<RecordPair> IncrementalTokenOverlapIndex::CurrentPairs() const {
@@ -425,7 +518,7 @@ Status IncrementalTokenOverlapIndex::LoadState(BinaryReader* reader) {
   token_id_.clear();
   tokens_.clear();
   tokens_.reserve(static_cast<size_t>(num_tokens));
-  df_buckets_.clear();
+  sources_.clear();
   for (uint64_t tid = 0; tid < num_tokens; ++tid) {
     std::string text;
     GRALMATCH_RETURN_NOT_OK(reader->ReadString(&text));
@@ -438,9 +531,6 @@ Status IncrementalTokenOverlapIndex::LoadState(BinaryReader* reader) {
     if (!inserted) {
       return Status::IOError("corrupted token index: duplicate token text");
     }
-    // Rebuild the df-bucket membership from its defining invariant:
-    // df_buckets_[d] holds exactly the tokens whose current df is d.
-    if (info.df > 0) df_buckets_[info.df].insert(static_cast<int32_t>(tid));
     tokens_.push_back(std::move(info));
   }
 
@@ -505,6 +595,27 @@ std::vector<RecordPair> BucketPairs(const RecordTable& records,
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
+}
+
+/// Bump the set difference of each touched bucket's before/after pair
+/// lists (both sorted unique) and return the membership delta.
+template <typename BucketDiff>
+CandidateDelta ApplyBucketDiffs(const std::vector<BucketDiff>& diffs,
+                                RefcountMap* refcount) {
+  RefcountDelta delta(refcount);
+  for (const BucketDiff& d : diffs) {
+    for (const RecordPair& p : d.before) {
+      if (!std::binary_search(d.after.begin(), d.after.end(), p)) {
+        delta.Bump(p, -1);
+      }
+    }
+    for (const RecordPair& p : d.after) {
+      if (!std::binary_search(d.before.begin(), d.before.end(), p)) {
+        delta.Bump(p, +1);
+      }
+    }
+  }
+  return delta.Finish();
 }
 
 }  // namespace
@@ -575,22 +686,7 @@ CandidateDelta IncrementalIdOverlapIndex::AddPublishedRecords(
       },
       /*grain=*/4);
 
-  std::unordered_map<RecordPair, uint32_t, RecordPairHash> old_ref;
-  auto bump = [&](const RecordPair& pair, int delta) {
-    uint32_t& count = refcount_[pair];
-    old_ref.emplace(pair, count);
-    count = static_cast<uint32_t>(static_cast<int>(count) + delta);
-  };
-  for (const BucketDiff& d : diffs) {
-    // Both lists are sorted unique; emit set differences.
-    for (const RecordPair& p : d.before) {
-      if (!std::binary_search(d.after.begin(), d.after.end(), p)) bump(p, -1);
-    }
-    for (const RecordPair& p : d.after) {
-      if (!std::binary_search(d.before.begin(), d.before.end(), p)) bump(p, +1);
-    }
-  }
-  return FinalizeDelta(old_ref, &refcount_);
+  return ApplyBucketDiffs(diffs, &refcount_);
 }
 
 CandidateDelta IncrementalIdOverlapIndex::RemoveRecords(
@@ -634,21 +730,7 @@ CandidateDelta IncrementalIdOverlapIndex::RemoveRecords(
       },
       /*grain=*/4);
 
-  std::unordered_map<RecordPair, uint32_t, RecordPairHash> old_ref;
-  auto bump = [&](const RecordPair& pair, int delta) {
-    uint32_t& count = refcount_[pair];
-    old_ref.emplace(pair, count);
-    count = static_cast<uint32_t>(static_cast<int>(count) + delta);
-  };
-  for (const BucketDiff& d : diffs) {
-    for (const RecordPair& p : d.before) {
-      if (!std::binary_search(d.after.begin(), d.after.end(), p)) bump(p, -1);
-    }
-    for (const RecordPair& p : d.after) {
-      if (!std::binary_search(d.before.begin(), d.before.end(), p)) bump(p, +1);
-    }
-  }
-  return FinalizeDelta(old_ref, &refcount_);
+  return ApplyBucketDiffs(diffs, &refcount_);
 }
 
 std::vector<RecordPair> IncrementalIdOverlapIndex::CurrentPairs() const {

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "blocking/id_overlap.h"
@@ -50,11 +49,12 @@ struct CandidateDelta {
 
 /// \brief In-place updatable Token Overlap blocking (§5.3.1 semantics).
 ///
-/// Maintains per-record token sets, document frequencies and postings. On
-/// each batch, only dirty records are re-ranked: the new records themselves,
-/// records sharing an eligible token with a new record, and records holding
-/// a token whose document-frequency eligibility flipped (including tokens
-/// re-admitted because the max-df cap rises with the record count).
+/// Maintains per-record token sets, document frequencies and postings. A
+/// mutation fully re-ranks only the records whose top-n list can change in
+/// ways the old list cannot tell: records that gain or lose an overlap with
+/// another surviving record. Every other record's overlaps with the records
+/// it already ranked are unchanged, so its new list follows exactly from the
+/// old one (see AddPublishedRecords and RemoveRecords).
 class IncrementalTokenOverlapIndex {
  public:
   IncrementalTokenOverlapIndex() : options_() {}
@@ -82,6 +82,14 @@ class IncrementalTokenOverlapIndex {
   /// ExtractKeys(records.at(num_records() + k)); AddRecords is exactly
   /// ExtractKeys on each new record followed by this call, so both paths
   /// produce identical deltas and identical index state.
+  ///
+  /// Re-ranked in full: the new records, the holders of a touched token
+  /// whose eligibility flipped while it had at least two pre-batch holders,
+  /// and the holders of untouched tokens re-admitted by the rising df cap.
+  /// Every other old record kept all of its overlaps with old records, so
+  /// its new list is the top-n of its old list plus the new records that
+  /// overlap it in at least min_overlap tokens (read off the new records'
+  /// own rankings — overlap is symmetric).
   CandidateDelta AddPublishedRecords(
       const RecordTable& records,
       std::vector<std::vector<std::string>> published,
@@ -89,13 +97,16 @@ class IncrementalTokenOverlapIndex {
 
   /// Retract previously added records. Each id in `removed_ids` (in range,
   /// unique, not yet removed) gives up its tokens: document frequencies
-  /// drop, the max-df cap is recomputed from the live-record count, and
-  /// every record whose ranking could change — holders of a touched or
-  /// eligibility-flipped token, including tokens pushed back *under* the
-  /// falling cap — is re-ranked. `records` must still hold the removed
-  /// records' payloads (the table is append-only; removal is logical). The
-  /// delta may contain added pairs: retraction is not monotone either, a df
-  /// falling back into [2, max_df] re-admits its token.
+  /// drop and the max-df cap is recomputed from the live-record count.
+  /// Re-ranked: the live holders of an eligibility-flipped token that still
+  /// has at least two live holders (including tokens pushed back *under*
+  /// the falling cap), the holders of untouched tokens dropped by the
+  /// falling cap, and the live records whose kept list held a removed
+  /// record. No other live record has a live-live overlap changed, so its
+  /// list stands. `records` must still hold the removed records' payloads
+  /// (the table is append-only; removal is logical). The delta may contain
+  /// added pairs: retraction is not monotone either, a df falling back into
+  /// [2, max_df] re-admits its token.
   CandidateDelta RemoveRecords(const RecordTable& records,
                                const std::vector<RecordId>& removed_ids,
                                ThreadPool* pool = nullptr);
@@ -118,10 +129,9 @@ class IncrementalTokenOverlapIndex {
   void SaveState(BinaryWriter* writer) const;
 
   /// Restore the state written by SaveState, replacing the current contents.
-  /// The df-bucket structure is rebuilt from the per-token document
-  /// frequencies (its defining invariant) rather than round-tripped. Returns
-  /// an error on truncated or inconsistent input, leaving the index in an
-  /// unspecified state that must be discarded.
+  /// The per-record sources are re-read from the record table on the next
+  /// mutation. Returns an error on truncated or inconsistent input, leaving
+  /// the index in an unspecified state that must be discarded.
   Status LoadState(BinaryReader* reader);
 
  private:
@@ -130,11 +140,43 @@ class IncrementalTokenOverlapIndex {
     std::vector<RecordId> postings;  ///< holders, ascending record id
   };
 
-  /// Top-n other-source records by token overlap for one record, using the
-  /// same eligibility, min-overlap and (count desc, id asc) tie-break rules
-  /// as the batch blocker.
-  std::vector<RecordId> RankRecord(const RecordTable& records,
-                                   RecordId record) const;
+  /// A record and its overlap count with the record being ranked.
+  struct Scored {
+    RecordId id;
+    uint32_t count;
+  };
+  /// A record's replacement top-n list, installed by InstallKept.
+  struct KeptUpdate {
+    RecordId record;
+    std::vector<RecordId> kept;
+  };
+
+  /// Every other-source record overlapping `record` in at least min_overlap
+  /// eligible tokens, in no particular order.
+  std::vector<Scored> Overlaps(RecordId record) const;
+  /// Eligible tokens `a` and `b` share.
+  uint32_t OverlapCount(RecordId a, RecordId b) const;
+  /// The top-n of `ranked` by (count desc, id asc), the batch blocker's
+  /// tie-break; partially sorts `ranked` but keeps every element.
+  std::vector<RecordId> TopN(std::vector<Scored>* ranked) const;
+  /// Top-n other-source records by token overlap for one record.
+  std::vector<RecordId> RankRecord(RecordId record) const;
+  /// Extend sources_ to the first `n` records of `records`.
+  void SyncSources(const RecordTable& records, size_t n);
+  /// Recompute the df cap from the live-record count.
+  void UpdateMaxDf();
+  /// Current document frequency of every token, by token id.
+  std::vector<uint32_t> DocumentFrequencies() const;
+  /// Set `(*marks)[r] = mark` for every holder r of a token whose
+  /// eligibility flipped between the pre-mutation state (`old_df`, indexed
+  /// by token id, and `old_max_df`) and now, while at least two of its
+  /// holders stayed through the mutation.
+  void MarkFlippedHolders(const std::vector<uint32_t>& old_df,
+                          uint32_t old_max_df, std::vector<char>* marks,
+                          char mark) const;
+  /// Replace each update's kept list in order, bumping the refcount of every
+  /// pair that entered or left it, and return the membership delta.
+  CandidateDelta InstallKept(std::vector<KeptUpdate> updates);
 
   TokenOverlapBlocker::Options options_;
   size_t num_records_ = 0;
@@ -148,10 +190,10 @@ class IncrementalTokenOverlapIndex {
   std::vector<std::vector<RecordId>> kept_;
   /// Pair -> number of kept-lists currently containing it (1 or 2).
   std::unordered_map<RecordPair, uint32_t, RecordPairHash> refcount_;
-  /// df value -> token ids at that df, for max-df-crossing detection. Only
-  /// membership matters (iteration feeds boolean dirty flags), so the
-  /// unordered iteration never reaches the output.
-  std::unordered_map<uint32_t, std::unordered_set<int32_t>> df_buckets_;
+  /// Source of each record, so ranking never dereferences the record table.
+  /// Derived and never serialized: LoadState clears it and the next
+  /// mutation re-reads it from the table.
+  std::vector<SourceId> sources_;
 };
 
 /// \brief In-place updatable ID Overlap blocking (securities mode): records

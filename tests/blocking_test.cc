@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -420,12 +421,27 @@ TEST(IncrementalTokenOverlapIndexTest, TopNDisplacementRetractsPair) {
                         RecordPair(a, c)) != delta.added.end());
 }
 
+/// Sorted pairs of `a` missing from `b` (both sorted).
+std::vector<RecordPair> PairsMinus(const std::vector<RecordPair>& a,
+                                   const std::vector<RecordPair>& b) {
+  std::vector<RecordPair> out;
+  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                      std::back_inserter(out));
+  return out;
+}
+
 TEST(IncrementalTokenOverlapIndexTest, RandomSplitsMatchBatch) {
+  // The second grid point keeps one slot per record under a low df cap, so
+  // ties, displacements and eligibility flips happen on most batches.
+  TokenOverlapBlocker::Options loose;
+  loose.top_n = 3;
+  loose.min_overlap = 2;
+  loose.max_token_df = 0.2;
+  TokenOverlapBlocker::Options tight;
+  tight.top_n = 1;
+  tight.min_overlap = 1;
+  tight.max_token_df = 0.15;
   Rng rng(13);
-  TokenOverlapBlocker::Options options;
-  options.top_n = 3;
-  options.min_overlap = 2;
-  options.max_token_df = 0.2;
   const std::vector<std::string> vocab = {
       "alpha", "bravo", "carbon", "delta",  "ember",  "falcon",
       "grove", "helix", "indigo", "jasper", "krypton"};
@@ -441,19 +457,160 @@ TEST(IncrementalTokenOverlapIndexTest, RandomSplitsMatchBatch) {
     rec.Set("name", name);
     records.Add(std::move(rec));
   }
-  for (int round = 0; round < 3; ++round) {
-    IncrementalTokenOverlapIndex index(options);
-    size_t ingested = 0;
-    while (ingested < records.size()) {
-      ingested += 1 + rng.Uniform(records.size() - ingested < 20
-                                      ? records.size() - ingested
-                                      : 20);
-      index.AddRecords(Prefix(records, ingested));
-      EXPECT_EQ(SortedPairs(index.CurrentPairs()),
-                BatchTokenPairs(Prefix(records, ingested), options))
-          << "round " << round << " after " << ingested << " records";
+  for (const TokenOverlapBlocker::Options& options : {loose, tight}) {
+    for (int round = 0; round < 3; ++round) {
+      IncrementalTokenOverlapIndex index(options);
+      std::vector<RecordPair> previous;
+      size_t ingested = 0;
+      while (ingested < records.size()) {
+        ingested += 1 + rng.Uniform(records.size() - ingested < 20
+                                        ? records.size() - ingested
+                                        : 20);
+        const CandidateDelta delta = index.AddRecords(Prefix(records, ingested));
+        const std::vector<RecordPair> current =
+            SortedPairs(index.CurrentPairs());
+        EXPECT_EQ(current, BatchTokenPairs(Prefix(records, ingested), options))
+            << "top_n " << options.top_n << " round " << round << " after "
+            << ingested << " records";
+        EXPECT_EQ(delta.added, PairsMinus(current, previous));
+        EXPECT_EQ(delta.removed, PairsMinus(previous, current));
+        previous = current;
+      }
     }
   }
+}
+
+/// A token index over hand-written records that checks, after every call,
+/// the pair set against the batch blocker on the survivors and the delta
+/// against the pair sets before and after.
+class TokenIndexScenario {
+ public:
+  explicit TokenIndexScenario(TokenOverlapBlocker::Options options)
+      : options_(options), index_(options) {}
+
+  RecordId Add(SourceId source, const std::string& name) {
+    Record rec(source, RecordKind::kCompany);
+    rec.Set("name", name);
+    alive_.push_back(1);
+    return records_.Add(std::move(rec));
+  }
+
+  /// Absorb every record added since the last call.
+  CandidateDelta Ingest() { return Check(index_.AddRecords(records_)); }
+
+  CandidateDelta Remove(const std::vector<RecordId>& ids) {
+    for (RecordId id : ids) alive_[static_cast<size_t>(id)] = 0;
+    return Check(index_.RemoveRecords(records_, ids));
+  }
+
+  std::vector<RecordPair> Pairs() const { return previous_; }
+
+ private:
+  CandidateDelta Check(CandidateDelta delta) {
+    RecordTable survivors;
+    std::vector<RecordId> original;
+    for (size_t i = 0; i < records_.size(); ++i) {
+      if (!alive_[i]) continue;
+      survivors.Add(records_.at(static_cast<RecordId>(i)));
+      original.push_back(static_cast<RecordId>(i));
+    }
+    std::vector<RecordPair> expected;
+    for (const RecordPair& p : BatchTokenPairs(survivors, options_)) {
+      expected.emplace_back(original[static_cast<size_t>(p.a)],
+                            original[static_cast<size_t>(p.b)]);
+    }
+    const std::vector<RecordPair> current = SortedPairs(index_.CurrentPairs());
+    EXPECT_EQ(current, SortedPairs(expected));
+    EXPECT_EQ(delta.added, PairsMinus(current, previous_));
+    EXPECT_EQ(delta.removed, PairsMinus(previous_, current));
+    previous_ = current;
+    return delta;
+  }
+
+  TokenOverlapBlocker::Options options_;
+  IncrementalTokenOverlapIndex index_;
+  RecordTable records_;
+  std::vector<char> alive_;
+  std::vector<RecordPair> previous_;
+};
+
+TokenOverlapBlocker::Options EveryTokenEligible(size_t top_n) {
+  TokenOverlapBlocker::Options options;
+  options.top_n = top_n;
+  options.min_overlap = 1;
+  options.max_token_df = 1.0;
+  return options;
+}
+
+TEST(IncrementalTokenOverlapIndexTest, RemovedKeptRecordPullsReplacement) {
+  // A keeps B (3 shared tokens) over C (2). Removing B must re-rank A, which
+  // pulls C from beyond its top-1 — although B's only token flip ("mango",
+  // df 2 -> 1) leaves a single holder and re-ranks nobody by itself.
+  TokenIndexScenario s(EveryTokenEligible(/*top_n=*/1));
+  const RecordId a = s.Add(0, "kiwi lemon mango");
+  const RecordId b = s.Add(1, "kiwi lemon mango");
+  const RecordId c = s.Add(1, "kiwi lemon quince");
+  const RecordId e = s.Add(0, "kiwi lemon quince");  // C's own best partner
+  s.Ingest();
+  EXPECT_EQ(s.Pairs(),
+            (std::vector<RecordPair>{RecordPair(a, b), RecordPair(c, e)}));
+
+  const CandidateDelta delta = s.Remove({b});
+  EXPECT_EQ(delta.removed, std::vector<RecordPair>{RecordPair(a, b)});
+  EXPECT_EQ(delta.added, std::vector<RecordPair>{RecordPair(a, c)});
+}
+
+TEST(IncrementalTokenOverlapIndexTest, DfFlipsOneToTwoAndTwoToOne) {
+  // "olive" goes df 1 -> 2 when C arrives (its old holder A must learn of C
+  // from C's own ranking) and back 2 -> 1 when C leaves.
+  TokenIndexScenario s(EveryTokenEligible(/*top_n=*/2));
+  const RecordId a = s.Add(0, "olive pepper");
+  const RecordId b = s.Add(1, "pepper");
+  s.Ingest();
+  EXPECT_EQ(s.Pairs(), std::vector<RecordPair>{RecordPair(a, b)});
+
+  const RecordId c = s.Add(1, "olive");
+  CandidateDelta delta = s.Ingest();
+  EXPECT_EQ(delta.added, std::vector<RecordPair>{RecordPair(a, c)});
+  EXPECT_TRUE(delta.removed.empty());
+
+  delta = s.Remove({c});
+  EXPECT_EQ(delta.removed, std::vector<RecordPair>{RecordPair(a, c)});
+  EXPECT_TRUE(delta.added.empty());
+
+  // "pepper" 2 -> 1 takes the last pair with it; a fresh holder re-admits.
+  delta = s.Remove({b});
+  EXPECT_EQ(delta.removed, std::vector<RecordPair>{RecordPair(a, b)});
+  const RecordId d = s.Add(2, "pepper");
+  delta = s.Ingest();
+  EXPECT_EQ(delta.added, std::vector<RecordPair>{RecordPair(a, d)});
+}
+
+TEST(IncrementalTokenOverlapIndexTest, NewRecordDisplacesCountTieById) {
+  // H's single slot holds X, which tied Z at one shared token and won by
+  // id. R arrives sharing two tokens with H and displaces X; later T and U,
+  // also at two, tie R and lose by id, so H keeps R.
+  TokenIndexScenario s(EveryTokenEligible(/*top_n=*/1));
+  const RecordId h = s.Add(0, "cedar dune");
+  const RecordId x = s.Add(1, "cedar fig");
+  const RecordId xp = s.Add(0, "cedar fig");  // X's own best partner
+  const RecordId z = s.Add(1, "dune gum");
+  const RecordId zp = s.Add(0, "dune gum");  // Z's own best partner
+  s.Ingest();
+  EXPECT_EQ(s.Pairs(), (std::vector<RecordPair>{
+                           RecordPair(h, x), RecordPair(x, xp),
+                           RecordPair(z, zp)}));
+
+  const RecordId r = s.Add(2, "cedar dune");
+  CandidateDelta delta = s.Ingest();
+  EXPECT_EQ(delta.removed, std::vector<RecordPair>{RecordPair(h, x)});
+  EXPECT_EQ(delta.added, std::vector<RecordPair>{RecordPair(h, r)});
+
+  const RecordId t = s.Add(2, "cedar dune gum");
+  const RecordId u = s.Add(1, "cedar dune gum");  // T's own best partner
+  delta = s.Ingest();
+  EXPECT_TRUE(delta.removed.empty());
+  EXPECT_EQ(delta.added, std::vector<RecordPair>{RecordPair(t, u)});
 }
 
 }  // namespace

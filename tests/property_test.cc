@@ -4,6 +4,8 @@
 // bounds, metric consistency.
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <set>
 #include <unordered_set>
 
@@ -12,6 +14,7 @@
 #include "blocking/id_overlap.h"
 #include "blocking/incremental_index.h"
 #include "blocking/issuer_match.h"
+#include "common/binary_io.h"
 #include "common/union_find.h"
 #include "blocking/token_overlap.h"
 #include "core/cleanup.h"
@@ -518,19 +521,45 @@ TEST(RetractionEdgeCases, RetractionReadmitsOverflowedBucket) {
   EXPECT_TRUE(index.CurrentPairs().empty());
 }
 
-class RetractionPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+/// Sorted pairs of `a` missing from `b` (both sorted).
+std::vector<RecordPair> PairsMinus(const std::vector<RecordPair>& a,
+                                   const std::vector<RecordPair>& b) {
+  std::vector<RecordPair> out;
+  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                      std::back_inserter(out));
+  return out;
+}
 
-TEST_P(RetractionPropertyTest, TokenIndexMatchesBatchOnSurvivorsUnderChurn) {
-  // Random interleaved adds/removes over a tiny vocabulary (so document
-  // frequencies keep crossing the moving cap): after every mutation the
-  // index's pair set must equal the batch blocker on the survivors, and
-  // the reported deltas must replay into exactly that set.
-  Rng rng(GetParam());
-  TokenOverlapBlocker::Options options;
-  options.top_n = 3;
-  options.min_overlap = 1;
-  options.max_token_df = 0.4;
+/// Restore an index from another's SaveState bytes, as a checkpoint load
+/// does (LoadState sees no record table; the owner restores the live count).
+void RoundTripIndex(const IncrementalTokenOverlapIndex& from,
+                    IncrementalTokenOverlapIndex* to) {
+  BinaryWriter writer;
+  from.SaveState(&writer);
+  BinaryReader reader(writer.buffer());
+  ASSERT_TRUE(to->LoadState(&reader).ok());
+  to->SetNumLive(from.num_live());
+}
+
+std::string IndexBytes(const IncrementalTokenOverlapIndex& index) {
+  BinaryWriter writer;
+  index.SaveState(&writer);
+  return writer.buffer();
+}
+
+/// Random churn over a tiny vocabulary (so document frequencies keep
+/// crossing the moving cap): each step adds records, removes some, or
+/// removes some and adds fresh copies of them back (an update). After every
+/// call the index's pair set must equal the batch blocker on the survivors,
+/// and the call's delta must be exactly the set difference of the pair sets
+/// before and after it. From step `restore_at` on, a second index restored
+/// from the first's SaveState must return the same deltas and SaveState
+/// bytes as the never-saved one. Returns how many calls moved the df cap.
+size_t CheckTokenChurn(uint64_t seed, const TokenOverlapBlocker::Options& options,
+                       size_t steps, size_t restore_at) {
+  Rng rng(seed);
   IncrementalTokenOverlapIndex index(options);
+  IncrementalTokenOverlapIndex restored;
   TokenOverlapBlocker batch(options);
   const std::vector<std::string> vocab = {"alpha", "bravo",  "carbon",
                                           "delta", "echo",   "foxtrot",
@@ -538,17 +567,62 @@ TEST_P(RetractionPropertyTest, TokenIndexMatchesBatchOnSurvivorsUnderChurn) {
   RecordTable records;
   std::vector<char> alive;
   std::vector<RecordId> live;
-  std::set<RecordPair> replayed;
-  auto apply = [&replayed](const CandidateDelta& delta) {
-    for (const RecordPair& pair : delta.removed) {
-      ASSERT_EQ(replayed.erase(pair), 1u) << "removed a pair not present";
-    }
-    for (const RecordPair& pair : delta.added) {
-      ASSERT_TRUE(replayed.insert(pair).second) << "added a duplicate pair";
-    }
+  std::vector<RecordPair> previous;
+  size_t cap_moves = 0;
+  auto cap = [&options](size_t num_live) {
+    return static_cast<size_t>(options.max_token_df *
+                               static_cast<double>(num_live));
   };
-  for (size_t step = 0; step < 24; ++step) {
-    if (live.size() < 3 || rng.Bernoulli(0.6)) {
+  auto check = [&](size_t step, const CandidateDelta& delta,
+                   const CandidateDelta& restored_delta, size_t live_before) {
+    const std::vector<RecordPair> current = SortedPairs(index.CurrentPairs());
+    EXPECT_EQ(current, BatchPairsOnSurvivors(records, alive, batch))
+        << "step " << step;
+    EXPECT_EQ(delta.added, PairsMinus(current, previous)) << "step " << step;
+    EXPECT_EQ(delta.removed, PairsMinus(previous, current)) << "step " << step;
+    if (step >= restore_at) {
+      EXPECT_EQ(restored_delta.added, delta.added) << "step " << step;
+      EXPECT_EQ(restored_delta.removed, delta.removed) << "step " << step;
+      EXPECT_EQ(IndexBytes(restored), IndexBytes(index)) << "step " << step;
+    }
+    if (cap(live_before) != cap(index.num_live())) ++cap_moves;
+    previous = current;
+  };
+  auto add = [&](size_t step, std::vector<Record> fresh) {
+    const size_t live_before = index.num_live();
+    for (Record& rec : fresh) {
+      live.push_back(static_cast<RecordId>(records.size()));
+      records.Add(std::move(rec));
+      alive.push_back(1);
+    }
+    const CandidateDelta delta = index.AddRecords(records);
+    const CandidateDelta restored_delta =
+        step >= restore_at ? restored.AddRecords(records) : CandidateDelta{};
+    check(step, delta, restored_delta, live_before);
+  };
+  auto remove = [&](size_t step, size_t count) {
+    std::vector<RecordId> doomed;
+    std::vector<Record> payloads;
+    for (size_t k = 0; k < count && !live.empty(); ++k) {
+      const size_t pick = rng.Uniform(live.size());
+      doomed.push_back(live[pick]);
+      payloads.push_back(records.at(live[pick]));
+      alive[static_cast<size_t>(live[pick])] = 0;
+      live[pick] = live.back();
+      live.pop_back();
+    }
+    const size_t live_before = index.num_live();
+    const CandidateDelta delta = index.RemoveRecords(records, doomed);
+    const CandidateDelta restored_delta =
+        step >= restore_at ? restored.RemoveRecords(records, doomed)
+                          : CandidateDelta{};
+    check(step, delta, restored_delta, live_before);
+    return payloads;
+  };
+  for (size_t step = 0; step < steps; ++step) {
+    if (step == restore_at) RoundTripIndex(index, &restored);
+    if (live.size() < 3 || rng.Bernoulli(0.5)) {
+      std::vector<Record> fresh;
       const size_t count = 1 + rng.Uniform(3);
       for (size_t k = 0; k < count; ++k) {
         std::string text;
@@ -557,30 +631,52 @@ TEST_P(RetractionPropertyTest, TokenIndexMatchesBatchOnSurvivorsUnderChurn) {
           if (!text.empty()) text.push_back(' ');
           text += vocab[rng.Uniform(vocab.size())];
         }
-        live.push_back(static_cast<RecordId>(records.size()));
-        records.Add(TokenRecord(static_cast<SourceId>(rng.Uniform(2)), text));
-        alive.push_back(1);
+        fresh.push_back(
+            TokenRecord(static_cast<SourceId>(rng.Uniform(2)), text));
       }
-      apply(index.AddRecords(records));
+      add(step, std::move(fresh));
+    } else if (rng.Bernoulli(0.5)) {
+      remove(step, 1 + rng.Uniform(2));
     } else {
-      std::vector<RecordId> doomed;
-      const size_t count = 1 + rng.Uniform(2);
-      for (size_t k = 0; k < count && !live.empty(); ++k) {
-        const size_t pick = rng.Uniform(live.size());
-        doomed.push_back(live[pick]);
-        alive[static_cast<size_t>(live[pick])] = 0;
-        live[pick] = live.back();
-        live.pop_back();
-      }
-      apply(index.RemoveRecords(records, doomed));
+      add(step, remove(step, 1 + rng.Uniform(2)));
     }
-    const std::vector<RecordPair> current = SortedPairs(index.CurrentPairs());
-    EXPECT_EQ(current, BatchPairsOnSurvivors(records, alive, batch))
-        << "step " << step;
-    EXPECT_EQ(current,
-              std::vector<RecordPair>(replayed.begin(), replayed.end()))
-        << "step " << step;
   }
+  return cap_moves;
+}
+
+class RetractionPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RetractionPropertyTest, TokenIndexMatchesBatchOnSurvivorsUnderChurn) {
+  TokenOverlapBlocker::Options options;
+  options.top_n = 3;
+  options.min_overlap = 1;
+  options.max_token_df = 0.4;
+  CheckTokenChurn(GetParam(), options, /*steps=*/24, /*restore_at=*/SIZE_MAX);
+}
+
+TEST_P(RetractionPropertyTest, TokenIndexMatchesBatchUnderTightCapChurn) {
+  // One slot per record and a cap that binds: token dfs hover around
+  // floor(0.3 * live) + 1, so eligibility flips and top-n displacements
+  // happen on most calls.
+  TokenOverlapBlocker::Options options;
+  options.top_n = 1;
+  options.min_overlap = 1;
+  options.max_token_df = 0.3;
+  const size_t steps = 40;
+  const size_t cap_moves = CheckTokenChurn(GetParam(), options, steps,
+                                           /*restore_at=*/SIZE_MAX);
+  EXPECT_GT(cap_moves, steps / 2);
+}
+
+TEST_P(RetractionPropertyTest, TokenIndexRestoredMidScheduleMatchesNeverSaved) {
+  // LoadState carries no record table, so any state the index derives from
+  // records must be rebuilt after it: the restored index must return the
+  // never-saved one's deltas and SaveState bytes for the rest of the run.
+  TokenOverlapBlocker::Options options;
+  options.top_n = 2;
+  options.min_overlap = 1;
+  options.max_token_df = 0.3;
+  CheckTokenChurn(GetParam(), options, /*steps=*/30, /*restore_at=*/12);
 }
 
 TEST_P(RetractionPropertyTest, IdIndexMatchesBatchOnSurvivorsUnderChurn) {
