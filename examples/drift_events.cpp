@@ -5,10 +5,10 @@
 // (an acquisition whose identifier overwrites make one group only
 // transitively matchable, plus the false positive pairwise edge that glues
 // two groups together until GraLMatch removes it). After every ingest the
-// incremental pipeline reports how little it recomputed; the snapshot is
-// checked against a from-scratch run of the batch pipeline — the
-// batch-equivalence guarantee of the stream module. A final corrections
-// batch then retracts the false positive's source record via
+// incremental engine (ShardedPipeline, one shard) reports how little it
+// recomputed; the snapshot is checked against a from-scratch run of the
+// batch pipeline — the engine's batch-equivalence guarantee. A final
+// corrections batch then retracts the false positive's source record via
 // Update/Remove and re-checks the snapshot against a from-scratch run on
 // the survivors: schedule equivalence, the CRUD extension of the same
 // guarantee.
@@ -24,7 +24,7 @@
 #include "core/pipeline.h"
 #include "data/dataset.h"
 #include "matching/matcher.h"
-#include "stream/incremental_pipeline.h"
+#include "shard/sharded_pipeline.h"
 
 using namespace gralmatch;
 
@@ -100,7 +100,9 @@ int main() {
   config.token.top_n = 5;
   config.token.min_overlap = 1;
   config.token.max_token_df = 1.0;
-  IncrementalPipeline pipeline(config);
+  ShardedPipelineConfig sharded_config;
+  sharded_config.base = config;
+  ShardedPipeline pipeline(sharded_config);
   FigureMatcher matcher;
 
   // --- Batch 1: the Crowdstrike group, four naming variations (Figure 2).

@@ -1,11 +1,12 @@
 // Serving over the wire: the net layer end to end. A synthetic securities
-// feed streams through the IncrementalPipeline, each batch published as an
-// epoch to a MatchService fronted by a NetServer on an ephemeral loopback
-// port — while concurrent NetClient threads fire pipelined query bursts at
-// it. Every burst must resolve against one epoch (its replies' epochs
-// agree, and GroupOf/Members within the burst are mutually consistent);
-// after the run, every record's answer over the wire must equal the direct
-// MatchService::View() answer. Exits nonzero on any violation.
+// feed streams through a ShardedPipeline (one shard), each batch published
+// as an epoch to a MatchService fronted by a NetServer on an ephemeral
+// loopback port — while concurrent NetClient threads fire pipelined query
+// bursts at it. Every burst must resolve against one epoch (its replies'
+// epochs agree, and GroupOf/Members within the burst are mutually
+// consistent); after the run, every record's answer over the wire must
+// equal the direct MatchService::View() answer. Exits nonzero on any
+// violation.
 //
 // The whole stack runs instrumented (obs/metrics.h): the pipeline, the
 // service and the server share one MetricsRegistry, and the final scrape
@@ -31,7 +32,7 @@
 #include "net/net_server.h"
 #include "obs/metrics.h"
 #include "serve/match_service.h"
-#include "stream/incremental_pipeline.h"
+#include "shard/sharded_pipeline.h"
 
 using namespace gralmatch;
 
@@ -51,21 +52,21 @@ int main(int argc, char** argv) {
   const std::vector<Record>& records = bench.securities.records.records();
   const size_t batch_size = (records.size() + num_batches - 1) / num_batches;
 
-  IncrementalPipelineConfig config;
-  config.pipeline.cleanup.gamma = 8;
-  config.pipeline.cleanup.mu = 4;
-  config.pipeline.pre_cleanup_threshold = 12;
-  config.pipeline.match_threshold = 0.5;
-  config.pipeline.num_threads =
+  ShardedPipelineConfig config;
+  config.base.pipeline.cleanup.gamma = 8;
+  config.base.pipeline.cleanup.mu = 4;
+  config.base.pipeline.pre_cleanup_threshold = 12;
+  config.base.pipeline.match_threshold = 0.5;
+  config.base.pipeline.num_threads =
       ResolveNumThreads(flags.GetInt("num_threads", 2));
   HeuristicIdMatcher matcher;
 
   // One registry across the whole stack: pipeline phases, publish latency,
   // and the server's RPC/shedding instruments all land in it.
   obs::MetricsRegistry registry;
-  config.pipeline.metrics = &registry;
+  config.base.pipeline.metrics = &registry;
 
-  IncrementalPipeline pipeline(config);
+  ShardedPipeline pipeline(config);
   MatchService service(&registry);
   NetServerOptions options;
   options.max_connections = num_clients + 1;

@@ -66,7 +66,7 @@ void IdOverlapBlocker::AddCandidates(const Dataset& dataset,
   if (securities_ == nullptr) {
     // Securities mode: direct identifier overlap, delegated to the
     // incremental index with one batch holding every record so the
-    // streaming path (stream/) shares this implementation and stays
+    // incremental path (shard/) shares this implementation and stays
     // equivalent to a from-scratch run by construction.
     std::unique_ptr<ThreadPool> pool = MaybeMakePool(options_.num_threads);
     IncrementalIdOverlapIndex index(kMaxBucket);

@@ -11,8 +11,8 @@ void TokenOverlapBlocker::AddCandidates(const Dataset& dataset,
                                         CandidateSet* out) const {
   if (dataset.records.size() < 2) return;
   // Delegate to the incremental index with a single batch holding every
-  // record: the streaming and batch paths share one implementation of the
-  // blocking semantics, so incremental ingestion (stream/) is equivalent to
+  // record: the incremental and batch paths share one implementation of
+  // the blocking semantics, so incremental ingestion (shard/) is equivalent to
   // a from-scratch run by construction. Tokenization and per-record ranking
   // fan out over the pool; the result is thread-count invariant.
   std::unique_ptr<ThreadPool> pool = MaybeMakePool(options_.num_threads);

@@ -3,8 +3,9 @@
 
 /// \file binary_io.h
 /// Endian-stable binary serialization primitives for the checkpoint format
-/// (serve/checkpoint.h). All multi-byte integers are written little-endian
-/// byte by byte, so a checkpoint written on any host loads on any other;
+/// (serve/sharded_checkpoint.h) and the RPC frames (net/wire.h). All
+/// multi-byte integers are written little-endian byte by byte, so a
+/// checkpoint written on any host loads on any other;
 /// doubles are written as the little-endian bytes of their IEEE-754 bit
 /// pattern, so round-trips are bit-exact. The reader bounds-checks every
 /// read and returns a Status instead of crashing on truncated or corrupted
@@ -82,8 +83,14 @@ class BinaryReader {
   size_t pos_ = 0;
 };
 
+/// FNV-1a 64-bit offset basis: the hash of the empty buffer.
+constexpr uint64_t kFnv1a64Basis = 14695981039346656037ull;
+
 /// FNV-1a 64-bit hash of a byte buffer (checkpoint payload checksum).
-uint64_t Fnv1a64(std::string_view data);
+/// FNV-1a is a streaming hash, so `Fnv1a64(b, Fnv1a64(a))` equals the hash
+/// of `a` followed by `b`: pass a previous digest as `seed` to extend it
+/// over more bytes without rehashing the prefix.
+uint64_t Fnv1a64(std::string_view data, uint64_t seed = kFnv1a64Basis);
 
 }  // namespace gralmatch
 

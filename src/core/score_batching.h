@@ -3,7 +3,7 @@
 
 /// \file score_batching.h
 /// The one chunked batched-scoring routine every pipeline scoring site
-/// (EntityGroupPipeline::Run, IncrementalPipeline ingest, ShardedPipeline)
+/// (EntityGroupPipeline::Run and ShardedPipeline mutations)
 /// goes through, so batching policy lives in one place. See
 /// docs/matchers.md "Batched inference".
 

@@ -55,7 +55,7 @@ class PairwiseMatcher {
   /// Contract — the fingerprint must change whenever scores can change: two
   /// matchers with equal fingerprints must produce identical
   /// MatchProbability/ScoreBatch outputs on every record pair. Pair-score
-  /// caches (stream/, shard/) and checkpoints (serve/) key on it, so any
+  /// caches (shard/) and checkpoints (serve/) key on it, so any
   /// state that influences a score has to be folded in:
   ///   - trained parameters (TfidfLogRegMatcher digests its weights,
   ///     TransformerMatcher bumps a per-mutation revision),

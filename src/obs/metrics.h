@@ -207,18 +207,17 @@ std::string DumpMetricsText(const MetricsRegistry& registry);
 /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,p50,...}}}.
 std::string DumpMetricsJson(const MetricsRegistry& registry);
 
-/// \brief Pipeline-phase instruments (core/stream/shard). `Create`
+/// \brief Pipeline-phase instruments (core/shard). `Create`
 /// resolves every name once; all members stay null when `registry` is
 /// null, which is what makes `PipelineConfig::metrics = nullptr` free.
 struct PipelineMetrics {
   static PipelineMetrics Create(MetricsRegistry* registry);
 
-  Histogram* blocking_seconds = nullptr;   ///< incremental index delta apply
+  Histogram* blocking_seconds = nullptr;   ///< route + candidate exchange
   Histogram* scoring_seconds = nullptr;    ///< batched matcher inference
   Histogram* cleanup_seconds = nullptr;    ///< dirty-component graph cleanup
   Histogram* route_seconds = nullptr;      ///< shard routing of a mutation
   Histogram* exchange_seconds = nullptr;   ///< global candidate exchange
-  Histogram* merge_seconds = nullptr;      ///< cross-shard component merge
   Counter* mutations = nullptr;            ///< ingest/remove/update batches
   Counter* records_added = nullptr;
   Counter* records_removed = nullptr;

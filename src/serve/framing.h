@@ -2,13 +2,12 @@
 #define GRALMATCH_SERVE_FRAMING_H_
 
 /// \file framing.h
-/// Shared framing primitives for the durable checkpoint formats — the
-/// single-file pipeline checkpoint (checkpoint.h) and the sharded
-/// manifest + per-shard-file checkpoint (sharded_checkpoint.h) frame their
-/// images the same way (8-byte magic, u32 version, length-prefixed body,
-/// trailing whole-image FNV-1a 64 checksum) and persist them with the same
-/// atomic temp-file + rename discipline. One implementation here keeps the
-/// two durability paths from drifting.
+/// Shared framing primitives for the framed binary formats — the manifest
+/// and per-shard files of the checkpoint (sharded_checkpoint.h) and the RPC
+/// frames (net/wire.h) frame their images the same way (8-byte magic, u32
+/// version, length-prefixed body, trailing whole-image FNV-1a 64 checksum),
+/// and checkpoint files persist with one atomic temp-file + rename
+/// discipline. One implementation here keeps the formats from drifting.
 
 #include <cstdint>
 #include <string>

@@ -154,8 +154,12 @@ Status SaveShardedCheckpoint(const ShardedPipeline& pipeline,
     image.WriteU32(static_cast<uint32_t>(s));
     image.WriteU64(bodies[s].size());
     image.WriteBytes(bodies[s].buffer().data(), bodies[s].size());
-    image.WriteU64(Fnv1a64(image.buffer()));
-    const uint64_t checksum = Fnv1a64(image.buffer());
+    const uint64_t trailer = Fnv1a64(image.buffer());
+    image.WriteU64(trailer);
+    // The file's address covers the trailer too: extend the digest over
+    // those last 8 bytes instead of rehashing the whole image.
+    const uint64_t checksum = Fnv1a64(
+        std::string_view(image.buffer()).substr(image.size() - 8), trailer);
     shard_checksums.push_back(checksum);
     const std::string name = ShardFileName(s, checksum);
     live_names.insert(name);

@@ -2,9 +2,10 @@
 #define GRALMATCH_SERVE_SHARDED_CHECKPOINT_H_
 
 /// \file sharded_checkpoint.h
-/// Durable checkpoints for the sharded pipeline, partitioned the way the
-/// state is: one framed file per shard plus a manifest. A checkpoint is a
-/// directory:
+/// Durable checkpoints — the one checkpoint format — for the incremental
+/// engine (shard/sharded_pipeline.h), partitioned the way the state is: one
+/// framed file per shard plus a manifest (S = 1 gives one shard file). A
+/// checkpoint is a directory:
 ///
 ///   <dir>/manifest.grlm            the manifest (layout below)
 ///   <dir>/shard-<k>-<checksum>.grlm  shard k's slice, k in [0, S)
@@ -53,9 +54,10 @@
 /// truth for which shard files belong to this checkpoint: a missing,
 /// truncated, bit-flipped, swapped-in or stale shard file fails the load
 /// with a clean Status before any of its content is trusted. Validation
-/// order per file mirrors the single-pipeline checkpoint: magic, version
-/// (newer formats rejected, not misread), checksum, then bounds-checked
-/// body reads with every cross-shard invariant re-verified
+/// order per file: magic, version (newer formats rejected, not misread),
+/// checksum (the manifest's covers its fingerprint, so a damaged
+/// fingerprint byte reads as corruption, not as a matcher change), then
+/// bounds-checked body reads with every cross-shard invariant re-verified
 /// (ShardedPipeline::DeserializeFromParts).
 ///
 /// Save -> Load -> Snapshot() is bitwise-identical, re-saving a restored
@@ -84,8 +86,7 @@ constexpr uint32_t kShardedCheckpointVersion = 2;
 /// last (see file comment for the crash-safety argument), then unreferenced
 /// shard files are garbage-collected. A non-null `metrics` records the
 /// save's wall-clock into `checkpoint_save_seconds` — timing only; the
-/// checkpoint bytes are identical either way (the single-file checkpoint
-/// API in checkpoint.h stays metrics-free entirely; its callers time it).
+/// checkpoint bytes are identical either way.
 Status SaveShardedCheckpoint(const ShardedPipeline& pipeline,
                              const std::string& dir,
                              obs::MetricsRegistry* metrics = nullptr);

@@ -14,16 +14,16 @@
 /// tokens, extracted shard-parallel via the indexes' ExtractKeys hooks), and
 /// the exchange folds every shard's publications into one pair of global
 /// incremental indexes (blocking/incremental_index.h). Pairs spanning shards
-/// are therefore discovered — and retracted — exactly as the single-pipeline
-/// indexes would, which is what makes the sharded pipeline's
-/// shard-count-invariance contract (sharded_pipeline.h) provable instead of
-/// probabilistic.
+/// are therefore discovered — and retracted — exactly as one pair of
+/// indexes over the whole record set would, which is what makes the sharded
+/// pipeline's shard-count-invariance contract (sharded_pipeline.h) provable
+/// instead of probabilistic.
 
 #include <vector>
 
 #include "blocking/incremental_index.h"
 #include "data/record.h"
-#include "stream/incremental_pipeline.h"
+#include "shard/pipeline_types.h"
 
 namespace gralmatch {
 

@@ -1,4 +1,4 @@
-#include "stream/group_store.h"
+#include "shard/group_store.h"
 
 #include <algorithm>
 #include <string>
@@ -280,82 +280,6 @@ void GroupStore::FillSnapshot(size_t num_records, const std::vector<char>* alive
     result->cleanup_stats.betweenness_edges_removed +=
         comp.stats.betweenness_edges_removed;
   }
-}
-
-void GroupStore::Save(BinaryWriter* writer) const {
-  writer->WriteU64(comp_of_node_.size());
-  for (int32_t cid : comp_of_node_) writer->WriteI32(cid);
-  std::vector<int32_t> comp_ids;
-  comp_ids.reserve(comps_.size());
-  for (const auto& [cid, comp] : comps_) comp_ids.push_back(cid);
-  std::sort(comp_ids.begin(), comp_ids.end());
-  writer->WriteU64(comp_ids.size());
-  for (int32_t cid : comp_ids) {
-    writer->WriteI32(cid);
-    WriteComponentState(comps_.at(cid), writer);
-  }
-  writer->WriteI32(next_comp_id_);
-}
-
-Status GroupStore::Load(BinaryReader* reader, size_t num_records,
-                        const IsPositiveFn& is_positive) {
-  comp_of_node_.clear();
-  comps_.clear();
-  next_comp_id_ = 0;
-
-  uint64_t count = 0;
-  GRALMATCH_RETURN_NOT_OK(reader->ReadCount(4, &count));
-  if (count != num_records) {
-    return Status::IOError(
-        "corrupted checkpoint: component map size disagrees with the record "
-        "table");
-  }
-  comp_of_node_.resize(static_cast<size_t>(count));
-  for (auto& cid : comp_of_node_) {
-    GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&cid));
-  }
-
-  uint64_t num_comps = 0;
-  GRALMATCH_RETURN_NOT_OK(reader->ReadCount(4, &num_comps));
-  for (uint64_t k = 0; k < num_comps; ++k) {
-    int32_t cid = 0;
-    GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&cid));
-    ComponentState comp;
-    GRALMATCH_RETURN_NOT_OK(ReadComponentState(reader, num_records, &comp));
-    if (comp.nodes.empty()) {
-      return Status::IOError("corrupted checkpoint: empty component");
-    }
-    if (!comps_.emplace(cid, std::move(comp)).second) {
-      return Status::IOError("corrupted checkpoint: duplicate component id");
-    }
-  }
-  for (size_t r = 0; r < comp_of_node_.size(); ++r) {
-    const int32_t cid = comp_of_node_[r];
-    if (cid >= 0 && !comps_.count(cid)) {
-      return Status::IOError(
-          "corrupted checkpoint: record mapped to a missing component");
-    }
-  }
-  // FillSnapshot keys each component's emission off its smallest node and
-  // RebuildComponent binary-searches the node list, so the list must be
-  // sorted and unique and agree with the membership map.
-  for (const auto& [cid, comp] : comps_) {
-    if (!std::is_sorted(comp.nodes.begin(), comp.nodes.end()) ||
-        std::adjacent_find(comp.nodes.begin(), comp.nodes.end()) !=
-            comp.nodes.end()) {
-      return Status::IOError(
-          "corrupted checkpoint: component node list is not sorted unique");
-    }
-    for (const NodeId node : comp.nodes) {
-      if (comp_of_node_[static_cast<size_t>(node)] != cid) {
-        return Status::IOError(
-            "corrupted checkpoint: component node list disagrees with the "
-            "membership map");
-      }
-    }
-  }
-  GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&next_comp_id_));
-  return Validate(is_positive);
 }
 
 Status GroupStore::InsertComponent(int32_t cid, ComponentState comp,

@@ -1,10 +1,10 @@
-#ifndef GRALMATCH_STREAM_GROUP_STORE_H_
-#define GRALMATCH_STREAM_GROUP_STORE_H_
+#ifndef GRALMATCH_SHARD_GROUP_STORE_H_
+#define GRALMATCH_SHARD_GROUP_STORE_H_
 
 /// \file group_store.h
-/// Incrementally maintained component/group state shared by the streaming
-/// and sharded pipelines: the connected components of the pristine
-/// (pre-cleanup) positive-edge graph, each with its cached cleanup outcome.
+/// Incrementally maintained component/group state of the sharded pipeline:
+/// the connected components of the pristine (pre-cleanup) positive-edge
+/// graph, each with its cached cleanup outcome.
 ///
 /// Apply() is the dirty-component cleanup step. Given the positive-edge
 /// transitions of one ingest (edges added / removed / provenance-changed),
@@ -16,11 +16,9 @@
 /// — exactly the edge-id order a from-scratch run on the union would assign
 /// — so every cleanup tie-break matches the batch pipeline.
 ///
-/// The store is agnostic to where the positive edges come from: the
-/// single-pipeline caller feeds it one candidate set's transitions, the
-/// sharded pipeline feeds it the union-find merge of every shard's
-/// transitions (cross-shard edges union components that live on different
-/// shards, which is why the store is global, never per-shard).
+/// The sharded pipeline feeds it the union-find merge of every shard's
+/// positive-edge transitions (cross-shard edges union components that live
+/// on different shards, which is why the store is global, never per-shard).
 
 #include <cstdint>
 #include <functional>
@@ -99,18 +97,7 @@ class GroupStore {
   void FillSnapshot(size_t num_records, const std::vector<char>* alive,
                     PipelineResult* result) const;
 
-  /// Serialize the complete store (membership map, components in sorted id
-  /// order with cached groups/counters, next component id). Byte layout is
-  /// the PR-4 checkpoint body layout.
-  void Save(BinaryWriter* writer) const;
-
-  /// Restore Save() output, re-validating every cross-field invariant
-  /// (membership agreement, sorted-unique node lists, edges positive and
-  /// internal, fresh next id). Replaces the current contents.
-  Status Load(BinaryReader* reader, size_t num_records,
-              const IsPositiveFn& is_positive);
-
-  // -- Piecewise reconstruction (sharded manifest checkpoints) --------------
+  // -- Checkpoint reconstruction (per-shard component slices) --------------
 
   /// Insert one component under an explicit id, growing the membership map.
   /// Rejects duplicate ids, empty/unsorted node lists and nodes already
@@ -119,9 +106,9 @@ class GroupStore {
 
   void SetNextComponentId(int32_t next) { next_comp_id_ = next; }
 
-  /// Cross-field checks shared with Load: every component edge is a current
-  /// positive pair with both endpoints inside its component, and every
-  /// component id lies in [0, next_comp_id).
+  /// Cross-field checks after the last InsertComponent: every component
+  /// edge is a current positive pair with both endpoints inside its
+  /// component, and every component id lies in [0, next_comp_id).
   Status Validate(const IsPositiveFn& is_positive) const;
 
   const std::unordered_map<int32_t, ComponentState>& components() const {
@@ -142,10 +129,8 @@ class GroupStore {
 };
 
 /// Serialize one component's canonical byte encoding — nodes, pairs,
-/// cleaned groups, cleanup counters. The single definition shared by the
-/// whole-store serialization (GroupStore::Save) and the per-shard
-/// checkpoint slices (shard/shard_state.h), so the two formats can never
-/// drift field-by-field.
+/// cleaned groups, cleanup counters — as stored in the per-shard checkpoint
+/// slices (shard/shard_state.h).
 void WriteComponentState(const GroupStore::ComponentState& comp,
                          BinaryWriter* writer);
 
@@ -155,4 +140,4 @@ Status ReadComponentState(BinaryReader* reader, size_t num_records,
 
 }  // namespace gralmatch
 
-#endif  // GRALMATCH_STREAM_GROUP_STORE_H_
+#endif  // GRALMATCH_SHARD_GROUP_STORE_H_

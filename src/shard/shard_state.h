@@ -7,12 +7,11 @@
 /// *owns*. Pair ownership is deterministic — a pair belongs to the shard of
 /// its smaller record id — so every pair has exactly one score cache
 /// responsible for it and the union of all shard caches reproduces the
-/// single pipeline's cache key-for-key (the heart of the shard-count
-/// invariance proof in sharded_pipeline.h).
+/// S=1 cache key-for-key (the heart of the shard-count invariance proof in
+/// sharded_pipeline.h).
 ///
-/// This is the IncrementalPipeline's per-pair state factored into a
-/// partitionable value type; the global state (records, blocking indexes,
-/// component store) stays in the coordinating pipeline.
+/// Only per-pair state is partitioned; the global state (records, blocking
+/// indexes, component store) stays in the coordinating pipeline.
 
 #include <cstddef>
 #include <cstdint>
@@ -23,7 +22,7 @@
 #include "common/status.h"
 #include "data/ground_truth.h"
 #include "data/record.h"
-#include "stream/group_store.h"
+#include "shard/group_store.h"
 
 namespace gralmatch {
 

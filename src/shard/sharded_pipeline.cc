@@ -136,6 +136,8 @@ IngestReport ShardedPipeline::MutateImpl(
   report.records_added = adds.size();
   report.records_removed = removal_ids.size();
 
+  // Blocking spans route + exchange; both phases are also timed alone.
+  Stopwatch blocking_watch;
   Stopwatch route_watch;
   // Phase 1 — route. Records keep global contiguous ids; the router only
   // decides which shard-local state owns them. Tombstoned records keep
@@ -155,7 +157,7 @@ IngestReport ShardedPipeline::MutateImpl(
   store_.EnsureNumRecords(new_n);
 
   // A fingerprint change invalidates every shard's cache at once — the
-  // fingerprint is pipeline-global, exactly as in the single pipeline.
+  // fingerprint is pipeline-global.
   const std::string fingerprint = matcher.Fingerprint();
   const bool rescore_all = !fingerprint_.empty() && fingerprint != fingerprint_;
   if (rescore_all) {
@@ -240,13 +242,14 @@ IngestReport ShardedPipeline::MutateImpl(
   report.candidates_removed = cand_removed.size();
   if (metrics.exchange_seconds != nullptr) {
     metrics.exchange_seconds->Observe(exchange_watch.ElapsedSeconds());
+    metrics.blocking_seconds->Observe(blocking_watch.ElapsedSeconds());
   }
 
   // Evict cached scores touching a tombstoned record from their owner
   // shards. Ids never recycle, so an evicted entry can never be asked for
   // again; surviving entries keep serving re-admitted pairs. Unaffected
   // pairs are deliberately NOT rescored — deletion must not spend matcher
-  // calls on them. The summed eviction count equals the single pipeline's.
+  // calls on them. The summed eviction count is the same at every S.
   if (!removal_ids.empty()) {
     std::vector<char> removed_now(new_n, 0);
     for (RecordId id : removal_ids) removed_now[static_cast<size_t>(id)] = 1;
@@ -371,11 +374,9 @@ IngestReport ShardedPipeline::MutateImpl(
   cleanup_seconds_total_ += report.cleanup_seconds;
 
   // Observability rollup (null-guarded, inert: the report is the semantic
-  // output and does not depend on whether a registry is wired). The merge
-  // phase doubles as the cleanup phase here, so it feeds both histograms.
+  // output and does not depend on whether a registry is wired).
   if (config_.base.pipeline.metrics != nullptr) {
     metrics.scoring_seconds->Observe(report.scoring_seconds);
-    metrics.merge_seconds->Observe(report.cleanup_seconds);
     metrics.cleanup_seconds->Observe(report.cleanup_seconds);
     metrics.mutations->Increment();
     metrics.records_added->Increment(report.records_added);
@@ -624,9 +625,9 @@ Result<std::unique_ptr<ShardedPipeline>> ShardedPipeline::DeserializeFromParts(
     }
   }
 
-  // Cross-shard invariants, mirroring the single-pipeline checkpoint: every
-  // candidate scored in its owner's cache, every positive a candidate, and
-  // a pre-ingest fingerprint only with empty state.
+  // Cross-shard invariants: every candidate scored in its owner's cache,
+  // every positive a candidate, and a pre-ingest fingerprint only with
+  // empty state.
   for (const auto& [pair, prov] : pipeline->candidate_prov_) {
     if (!pipeline->shards_[pipeline->OwnerOf(pair)].score_cache.count(pair)) {
       return Status::IOError(

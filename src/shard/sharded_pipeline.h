@@ -2,9 +2,11 @@
 #define GRALMATCH_SHARD_SHARDED_PIPELINE_H_
 
 /// \file sharded_pipeline.h
-/// Partitioned incremental matching: the record space is split across S
-/// shard-local states so ingest scales beyond one pipeline's memory and
-/// lock domain, while the result stays *exactly* the single pipeline's.
+/// The incremental entity-group matching engine. Record batches arrive via
+/// Ingest(), corrections via Update() and deletions via Remove(), and
+/// blocking, scores and groups update in place instead of being recomputed
+/// from scratch. The record space is split across S shard-local states
+/// (S = 1 is the unsharded case), and the result is the same at every S.
 ///
 /// Each Ingest round runs four phases:
 ///
@@ -22,7 +24,7 @@
 ///  4. Merge: every shard's positive-edge transitions are merged and
 ///     union-found into *global* components — cross-shard edges join
 ///     components living on different shards — and the shared
-///     dirty-component cleanup (stream/group_store.h) re-cleans exactly the
+///     dirty-component cleanup (shard/group_store.h) re-cleans exactly the
 ///     touched region.
 ///
 /// Remove() and Update() extend the same machinery to the full CRUD
@@ -37,15 +39,20 @@
 /// tests/crud_test.cc): Snapshot() after ANY interleaved add/update/delete
 /// schedule, at any shard count S and any thread count, is identical —
 /// predicted pairs, pre-cleanup components, groups, and all cleanup
-/// counters — to the S=1 result, to IncrementalPipeline on the same
-/// mutation sequence, and to a from-scratch EntityGroupPipeline::Run on the
-/// final surviving record set. The argument: the exchange reproduces the
+/// counters — to the S=1 result on the same mutation sequence and to a
+/// from-scratch EntityGroupPipeline::Run on the final surviving record set
+/// (modulo the monotone id compaction a fresh run would assign). Only the
+/// wall-clock fields differ in meaning: Snapshot() reports times
+/// accumulated across mutations. The argument: the exchange reproduces the
 /// global candidate set exactly (additions and retractions both); a pair's
-/// owner shard is stable, so the union of shard caches equals the single
+/// owner shard is stable, so the union of shard caches equals the S=1
 /// cache key-for-key (each pair scored at most once per fingerprint,
 /// pipeline-wide); the positive set is the same threshold test on the same
 /// scores; and the merge feeds the identical transition stream to the
-/// identical GroupStore machinery.
+/// identical GroupStore machinery. The S=1 result itself equals the batch
+/// pipeline's because both blockers delegate to the same incremental
+/// indexes and the dirty-component rebuild reproduces the batch cleanup's
+/// tie-breaks (shard/group_store.h).
 ///
 /// Checkpoints are partitioned the same way the state is: one framed file
 /// per shard plus a manifest (serve/sharded_checkpoint.h).
@@ -60,10 +67,10 @@
 #include "data/record.h"
 #include "matching/matcher.h"
 #include "shard/candidate_exchange.h"
+#include "shard/group_store.h"
+#include "shard/pipeline_types.h"
 #include "shard/shard_router.h"
 #include "shard/shard_state.h"
-#include "stream/group_store.h"
-#include "stream/incremental_pipeline.h"
 
 namespace gralmatch {
 
@@ -71,12 +78,11 @@ class BinaryReader;
 class BinaryWriter;
 class ThreadPool;
 
-/// Parameters of the sharded pipeline: the incremental pipeline's config
+/// Parameters of the sharded pipeline: the matching and blocking config
 /// plus the partitioning.
 struct ShardedPipelineConfig {
-  /// Blocking/threshold/cleanup/num_threads semantics are exactly the
-  /// incremental pipeline's; num_threads sizes the one pool all shards
-  /// share.
+  /// Blocking/threshold/cleanup semantics (shard/pipeline_types.h);
+  /// num_threads sizes the one pool all shards share.
   IncrementalPipelineConfig base;
   /// Number of shard-local states (clamped to at least 1).
   size_t num_shards = 1;
@@ -84,7 +90,7 @@ struct ShardedPipelineConfig {
   uint64_t router_seed = 0;
 };
 
-/// \brief Sharded incremental entity-group matching pipeline.
+/// \brief Incremental entity-group matching pipeline over S shards.
 class ShardedPipeline {
  public:
   explicit ShardedPipeline(ShardedPipelineConfig config);
@@ -93,21 +99,32 @@ class ShardedPipeline {
   ShardedPipeline(const ShardedPipeline&) = delete;
   ShardedPipeline& operator=(const ShardedPipeline&) = delete;
 
-  /// Route, exchange, score and merge one batch; see file comment. The
-  /// returned report is identical to the one IncrementalPipeline would
-  /// return for the same ingest sequence (same scoring and cache-hit
-  /// counts, same dirty-component scoping — only wall-clock differs).
-  /// Same fail-fast contract as IncrementalPipeline::Ingest: a matcher
-  /// throw poisons the pipeline and every later call returns a clean error.
+  /// Append `batch` to the record set and route, exchange, score and merge
+  /// it; see file comment. The returned report is identical at every shard
+  /// count (same scoring and cache-hit counts, same dirty-component scoping
+  /// — only wall-clock differs). The matcher must be const-thread-safe (as
+  /// in the batch pipeline). A matcher whose Fingerprint() differs from the
+  /// previous call's invalidates every shard's score cache: every current
+  /// candidate pair is rescored and every component re-cleaned. An empty
+  /// batch is permitted (useful to swap matchers without new data).
+  ///
+  /// Fail-fast on a throwing matcher: an exception out of the matcher
+  /// aborts the call with records and blocking indexes already updated but
+  /// scores/groups not. The exception is swallowed, the pipeline is marked
+  /// *poisoned*, and an Internal error is returned; every later mutation,
+  /// Snapshot() and checkpoint save returns the same clean error. Discard a
+  /// poisoned pipeline (or restore from a checkpoint) — re-ingesting the
+  /// same batch would append its records a second time.
   Result<IngestReport> Ingest(const std::vector<Record>& batch,
                               const PairwiseMatcher& matcher);
 
-  /// Tombstone `ids` pipeline-wide; exact mirror of
-  /// IncrementalPipeline::Remove. Every id must be in range, alive and
-  /// unique — a bad set is an InvalidArgument error and mutates nothing.
-  /// `matcher` may be consulted: a cross-shard retraction can re-admit a
-  /// bucket or token that was previously over its cap, and re-admitted
-  /// never-scored pairs must be scored.
+  /// Tombstone `ids` pipeline-wide in one dirty pass: their blocking keys
+  /// are retracted, their cached scores evicted, and every component that
+  /// lost a node, an edge or a provenance bit is re-cleaned. Every id must
+  /// be in range, alive and unique — a bad set is an InvalidArgument error
+  /// and mutates nothing (no poisoning). `matcher` may be consulted: a
+  /// retraction can re-admit a bucket or token that was previously over
+  /// its cap, and re-admitted never-scored pairs must be scored.
   Result<IngestReport> Remove(const std::vector<RecordId>& ids,
                               const PairwiseMatcher& matcher);
 
@@ -131,7 +148,8 @@ class ShardedPipeline {
   /// Liveness per record id (parallel to records()); 1 = alive.
   const std::vector<char>& alive() const { return alive_; }
   bool is_alive(RecordId id) const {
-    return alive_[static_cast<size_t>(id)] != 0;
+    return id >= 0 && static_cast<size_t>(id) < alive_.size() &&
+           alive_[static_cast<size_t>(id)] != 0;
   }
   size_t num_dead() const { return num_dead_; }
   size_t num_live() const { return records_.size() - num_dead_; }
@@ -154,9 +172,10 @@ class ShardedPipeline {
     return shards_[shard].owned.size();
   }
 
-  /// Fingerprint of the matcher used by the last Ingest ("" before the
-  /// first); the manifest checkpoint stores it like the single-pipeline
-  /// checkpoint does.
+  /// Fingerprint of the matcher used by the last mutation ("" before the
+  /// first). The checkpoint manifest stores it and the loader compares it
+  /// against the serving matcher, because the score caches are only valid
+  /// under it.
   const std::string& fingerprint() const { return fingerprint_; }
 
   /// Cumulative matcher invocations / cache hits, summed over shards.

@@ -1,11 +1,12 @@
 // Tests for the common substrate: Status/Result, deterministic RNG, string
-// helpers, CLI flags and the stopwatch formatting.
+// helpers, CLI flags, the stopwatch formatting and the FNV-1a checksum.
 
 #include <map>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/cli.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -152,6 +153,22 @@ TEST(RngTest, ForkProducesIndependentStream) {
   Rng a(31);
   Rng child = a.Fork();
   EXPECT_NE(a.Next(), child.Next());
+}
+
+TEST(Fnv1a64Test, StreamingEqualsOneShot) {
+  // Pinned reference values of 64-bit FNV-1a.
+  EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(Fnv1a64("foobar"), 0x85944171f73967e8ull);
+  // Extending a digest over more bytes equals hashing the concatenation,
+  // at every split point, including the empty prefix and suffix.
+  const std::string data = "GRLMSHRD\x02\x00\x00\x00 body \xff trailer";
+  for (size_t cut = 0; cut <= data.size(); ++cut) {
+    const std::string_view view(data);
+    EXPECT_EQ(Fnv1a64(view.substr(cut), Fnv1a64(view.substr(0, cut))),
+              Fnv1a64(data))
+        << "cut " << cut;
+  }
 }
 
 TEST(StringsTest, SplitKeepsEmptyFields) {

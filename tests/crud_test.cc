@@ -1,8 +1,8 @@
 // Schedule-equivalence differential suite for full CRUD streaming: after ANY
 // interleaved add/update/delete schedule, at any thread count and any shard
-// count, IncrementalPipeline::Snapshot() and ShardedPipeline::Snapshot()
-// must be identical — predicted pairs, pre-cleanup components, groups, and
-// all cleanup counters — to a from-scratch EntityGroupPipeline::Run on the
+// count (S=1 included), ShardedPipeline::Snapshot() must be identical —
+// predicted pairs, pre-cleanup components, groups, and all cleanup
+// counters — to a from-scratch EntityGroupPipeline::Run on the
 // FINAL SURVIVING record set (survivors keep their original sparse ids; the
 // reference's compacted ids are remapped through the monotone survivor
 // list). Schedules cover: targeted removals, updates that change blocking
@@ -28,12 +28,10 @@
 #include "core/pipeline.h"
 #include "datagen/financial_gen.h"
 #include "datagen/wdc_gen.h"
-#include "serve/checkpoint.h"
 #include "serve/framing.h"
 #include "serve/match_service.h"
 #include "serve/sharded_checkpoint.h"
 #include "shard/sharded_pipeline.h"
-#include "stream/incremental_pipeline.h"
 #include "text/normalize.h"
 
 namespace gralmatch {
@@ -215,15 +213,18 @@ void ExpectEquivalent(const PipelineResult& actual,
       << context;
 }
 
-IncrementalPipelineConfig CrudConfig(size_t num_threads,
-                                     double match_threshold) {
-  IncrementalPipelineConfig config;
-  config.pipeline.cleanup.gamma = 6;
-  config.pipeline.cleanup.mu = 3;
-  config.pipeline.pre_cleanup_threshold = 9;
-  config.pipeline.match_threshold = match_threshold;
-  config.pipeline.num_threads = num_threads;
-  config.token.top_n = 5;
+ShardedPipelineConfig CrudConfig(size_t num_threads, double match_threshold,
+                                 size_t num_shards = 1,
+                                 uint64_t router_seed = 0) {
+  ShardedPipelineConfig config;
+  config.base.pipeline.cleanup.gamma = 6;
+  config.base.pipeline.cleanup.mu = 3;
+  config.base.pipeline.pre_cleanup_threshold = 9;
+  config.base.pipeline.match_threshold = match_threshold;
+  config.base.pipeline.num_threads = num_threads;
+  config.base.token.top_n = 5;
+  config.num_shards = num_shards;
+  config.router_seed = router_seed;
   return config;
 }
 
@@ -233,8 +234,7 @@ IncrementalPipelineConfig CrudConfig(size_t num_threads,
 
 /// One mutation round. Ids are concrete: the schedule generator simulates
 /// id assignment (contiguous, never recycled), so one schedule replays
-/// identically on an IncrementalPipeline and on a ShardedPipeline at any
-/// shard count.
+/// identically on a ShardedPipeline at any shard count.
 struct CrudOp {
   std::vector<Record> adds;
   std::vector<RecordId> removals;
@@ -328,10 +328,8 @@ CrudSchedule MakeSchedule(const std::vector<Record>& pool, uint64_t seed,
 
 /// Replay `schedule` (its rounds may mix adds, removals and updates; a
 /// round runs removals+adds first, then updates) and differential-check the
-/// final snapshot against the survivor reference. Works for both pipeline
-/// flavors — same API surface.
-template <typename Pipeline>
-void RunCrudSchedule(Pipeline* pipeline, const CrudSchedule& schedule,
+/// final snapshot against the survivor reference.
+void RunCrudSchedule(ShardedPipeline* pipeline, const CrudSchedule& schedule,
                      const IncrementalPipelineConfig& config,
                      const PairwiseMatcher& matcher, const std::string& context,
                      size_t check_every = 0) {
@@ -408,8 +406,8 @@ std::vector<Record>* FinancialCrud::records_ = nullptr;
 TEST_F(FinancialCrud, RemoveSubsetEquivalentAtEveryThreadCount) {
   JaccardMatcher matcher;
   for (size_t threads : {1u, 2u, 8u}) {
-    IncrementalPipelineConfig config = CrudConfig(threads, 0.25);
-    IncrementalPipeline pipeline(config);
+    ShardedPipelineConfig config = CrudConfig(threads, 0.25);
+    ShardedPipeline pipeline(config);
     ASSERT_TRUE(pipeline.Ingest(*records_, matcher).ok());
     // Every 4th record dies, in three waves.
     std::vector<RecordId> doomed;
@@ -427,8 +425,8 @@ TEST_F(FinancialCrud, RemoveSubsetEquivalentAtEveryThreadCount) {
       EXPECT_EQ(report.records_added, 0u);
       ExpectEquivalent(
           pipeline.Snapshot().ValueOrDie(),
-          SurvivorReference(pipeline.records(), pipeline.alive(), config,
-                            matcher),
+          SurvivorReference(pipeline.records(), pipeline.alive(),
+                            config.base, matcher),
           "threads=" + std::to_string(threads) + " wave=" +
               std::to_string(wave));
     }
@@ -446,8 +444,8 @@ TEST_F(FinancialCrud, UpdateChangingBlockingKeysEquivalent) {
   JaccardMatcher matcher;
   std::vector<Record> other = FinancialPool(909, 12);
   for (size_t threads : {1u, 8u}) {
-    IncrementalPipelineConfig config = CrudConfig(threads, 0.25);
-    IncrementalPipeline pipeline(config);
+    ShardedPipelineConfig config = CrudConfig(threads, 0.25);
+    ShardedPipeline pipeline(config);
     ASSERT_TRUE(pipeline.Ingest(*records_, matcher).ok());
     std::vector<RecordUpdate> batch;
     for (size_t k = 0; k < 12 && k < other.size(); ++k) {
@@ -466,7 +464,7 @@ TEST_F(FinancialCrud, UpdateChangingBlockingKeysEquivalent) {
     EXPECT_EQ(report.records_added, batch.size());
     ExpectEquivalent(pipeline.Snapshot().ValueOrDie(),
                      SurvivorReference(pipeline.records(), pipeline.alive(),
-                                       config, matcher),
+                                       config.base, matcher),
                      "threads=" + std::to_string(threads));
   }
 }
@@ -483,8 +481,8 @@ TEST_F(FinancialCrud, DeleteThenReaddRestoresTheSameGroups) {
   // sequence and legitimately may group differently (covered below by the
   // schedule-equivalence check, which is order-aware).
   JaccardMatcher matcher;
-  IncrementalPipelineConfig config = CrudConfig(2, 0.25);
-  IncrementalPipeline pipeline(config);
+  ShardedPipelineConfig config = CrudConfig(2, 0.25);
+  ShardedPipeline pipeline(config);
   ASSERT_TRUE(pipeline.Ingest(*records_, matcher).ok());
 
   auto uid_groups = [&](const PipelineResult& result) {
@@ -527,14 +525,14 @@ TEST_F(FinancialCrud, DeleteThenReaddRestoresTheSameGroups) {
   ASSERT_TRUE(pipeline.Ingest(scattered_payloads, matcher).ok());
   ExpectEquivalent(pipeline.Snapshot().ValueOrDie(),
                    SurvivorReference(pipeline.records(), pipeline.alive(),
-                                     config, matcher),
+                                     config.base, matcher),
                    "delete-then-readd");
 }
 
 TEST_F(FinancialCrud, DeleteEverythingThenRebuild) {
   JaccardMatcher matcher;
-  IncrementalPipelineConfig config = CrudConfig(2, 0.25);
-  IncrementalPipeline pipeline(config);
+  ShardedPipelineConfig config = CrudConfig(2, 0.25);
+  ShardedPipeline pipeline(config);
   ASSERT_TRUE(pipeline.Ingest(*records_, matcher).ok());
 
   // Delete every record in two waves: the snapshot must become completely
@@ -556,7 +554,7 @@ TEST_F(FinancialCrud, DeleteEverythingThenRebuild) {
   ASSERT_TRUE(pipeline.Ingest(*records_, matcher).ok());
   ExpectEquivalent(pipeline.Snapshot().ValueOrDie(),
                    SurvivorReference(pipeline.records(), pipeline.alive(),
-                                     config, matcher),
+                                     config.base, matcher),
                    "rebuild after delete-everything");
 }
 
@@ -570,8 +568,8 @@ TEST_F(FinancialCrud, DeletionNeverRescoresUnaffectedPairs) {
   // uids), making distinct_pairs() exactly the id-pair count.
   JaccardMatcher inner;
   CountingMatcher counting(&inner);
-  IncrementalPipelineConfig config = CrudConfig(4, 0.25);
-  IncrementalPipeline pipeline(config);
+  ShardedPipelineConfig config = CrudConfig(4, 0.25);
+  ShardedPipeline pipeline(config);
   ASSERT_TRUE(pipeline.Ingest(*records_, counting).ok());
   const size_t calls_after_ingest = counting.calls();
   ASSERT_GT(calls_after_ingest, 0u);
@@ -607,19 +605,14 @@ TEST_F(FinancialCrud, DeletionNeverRescoresUnaffectedPairs) {
   EXPECT_EQ(counting.calls(), counting.distinct_pairs());
 }
 
-TEST_F(FinancialCrud, ReportsIdenticalBetweenIncrementalAndSharded) {
-  // The sharded pipeline's reports must equal the single pipeline's on the
-  // same CRUD sequence, field for field — including the new removal and
-  // eviction counters.
+TEST_F(FinancialCrud, ReportsIdenticalAcrossShardCounts) {
+  // Reports must be equal at every shard count on the same CRUD sequence,
+  // field for field — including the removal and eviction counters.
   JaccardMatcher matcher;
   const CrudSchedule schedule = MakeSchedule(*records_, 404, 8);
-  IncrementalPipelineConfig config = CrudConfig(2, 0.25);
-  IncrementalPipeline incremental(config);
-  ShardedPipelineConfig sharded_config;
-  sharded_config.base = config;
-  sharded_config.num_shards = 3;
-  sharded_config.router_seed = 11;
-  ShardedPipeline sharded(sharded_config);
+  ShardedPipeline mono(CrudConfig(2, 0.25));
+  ShardedPipeline two(CrudConfig(2, 0.25, 2, 11));
+  ShardedPipeline four(CrudConfig(2, 0.25, 4, 11));
 
   auto expect_equal_reports = [](const IngestReport& a, const IngestReport& b,
                                  const std::string& context) {
@@ -633,96 +626,110 @@ TEST_F(FinancialCrud, ReportsIdenticalBetweenIncrementalAndSharded) {
     EXPECT_EQ(a.components_rebuilt, b.components_rebuilt) << context;
     EXPECT_EQ(a.components_reused, b.components_reused) << context;
   };
+  // Every report of one pipeline over the schedule, in call order.
+  auto run = [&](ShardedPipeline* pipeline) {
+    std::vector<IngestReport> reports;
+    reports.push_back(pipeline->Ingest(schedule.initial, matcher).ValueOrDie());
+    for (const CrudOp& op : schedule.ops) {
+      if (!op.removals.empty()) {
+        reports.push_back(pipeline->Remove(op.removals, matcher).ValueOrDie());
+      }
+      if (!op.adds.empty()) {
+        reports.push_back(pipeline->Ingest(op.adds, matcher).ValueOrDie());
+      }
+      if (!op.updates.empty()) {
+        reports.push_back(pipeline->Update(op.updates, matcher).ValueOrDie());
+      }
+    }
+    return reports;
+  };
 
-  expect_equal_reports(incremental.Ingest(schedule.initial, matcher).ValueOrDie(),
-                       sharded.Ingest(schedule.initial, matcher).ValueOrDie(),
-                       "initial");
+  const std::vector<IngestReport> mono_reports = run(&mono);
   size_t evictions_total = 0;
-  for (size_t k = 0; k < schedule.ops.size(); ++k) {
-    const CrudOp& op = schedule.ops[k];
-    const std::string context = "op " + std::to_string(k);
-    if (!op.removals.empty()) {
-      IngestReport a = incremental.Remove(op.removals, matcher).ValueOrDie();
-      IngestReport b = sharded.Remove(op.removals, matcher).ValueOrDie();
-      expect_equal_reports(a, b, context + " remove");
-      evictions_total += a.cache_evictions;
-    }
-    if (!op.adds.empty()) {
-      expect_equal_reports(incremental.Ingest(op.adds, matcher).ValueOrDie(),
-                           sharded.Ingest(op.adds, matcher).ValueOrDie(),
-                           context + " add");
-    }
-    if (!op.updates.empty()) {
-      IngestReport a = incremental.Update(op.updates, matcher).ValueOrDie();
-      IngestReport b = sharded.Update(op.updates, matcher).ValueOrDie();
-      expect_equal_reports(a, b, context + " update");
-      evictions_total += a.cache_evictions;
-    }
+  for (const IngestReport& report : mono_reports) {
+    evictions_total += report.cache_evictions;
   }
   EXPECT_GT(evictions_total, 0u);
-  ExpectEquivalent(sharded.Snapshot().ValueOrDie(),
-                   incremental.Snapshot().ValueOrDie(), "final snapshots");
+  const PipelineResult snapshot = mono.Snapshot().ValueOrDie();
+  for (ShardedPipeline* sharded : {&two, &four}) {
+    const std::string context = "S=" + std::to_string(sharded->num_shards());
+    const std::vector<IngestReport> reports = run(sharded);
+    ASSERT_EQ(reports.size(), mono_reports.size()) << context;
+    for (size_t k = 0; k < reports.size(); ++k) {
+      expect_equal_reports(mono_reports[k], reports[k],
+                           context + " call " + std::to_string(k));
+    }
+    ExpectEquivalent(sharded->Snapshot().ValueOrDie(), snapshot,
+                     context + " final snapshot vs S=1");
+  }
+  ExpectEquivalent(snapshot,
+                   SurvivorReference(mono.records(), mono.alive(),
+                                     CrudConfig(2, 0.25).base, matcher),
+                   "final S=1 vs survivors");
 }
 
 TEST_F(FinancialCrud, InvalidRemovalsAreCleanErrorsWithoutPoisoning) {
   JaccardMatcher matcher;
-  IncrementalPipelineConfig config = CrudConfig(1, 0.25);
-  IncrementalPipeline pipeline(config);
-  ASSERT_TRUE(pipeline.Ingest(*records_, matcher).ok());
-  const PipelineResult before = pipeline.Snapshot().ValueOrDie();
+  for (size_t num_shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(num_shards));
+    ShardedPipeline pipeline(CrudConfig(1, 0.25, num_shards));
+    ASSERT_TRUE(pipeline.Ingest(*records_, matcher).ok());
 
-  // Out of range, negative, duplicate, and double-delete: each is an
-  // InvalidArgument that mutates NOTHING (not even partially).
-  const RecordId n = static_cast<RecordId>(records_->size());
-  for (const std::vector<RecordId>& bad :
-       {std::vector<RecordId>{n}, std::vector<RecordId>{-1},
-        std::vector<RecordId>{0, 1, 0}}) {
-    Result<IngestReport> result = pipeline.Remove(bad, matcher);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    // Out of range, negative, duplicate, and double-delete: each is an
+    // InvalidArgument that mutates NOTHING (not even partially).
+    const RecordId n = static_cast<RecordId>(records_->size());
+    for (const std::vector<RecordId>& bad :
+         {std::vector<RecordId>{n}, std::vector<RecordId>{-1},
+          std::vector<RecordId>{0, 1, 0}}) {
+      Result<IngestReport> result = pipeline.Remove(bad, matcher);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      ASSERT_TRUE(pipeline.status().ok());
+    }
+    ASSERT_TRUE(pipeline.Remove({2}, matcher).ok());
+    Result<IngestReport> twice = pipeline.Remove({2}, matcher);
+    ASSERT_FALSE(twice.ok());
+    EXPECT_EQ(twice.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(twice.status().message().find("tombstoned"), std::string::npos);
+
+    // Updates validate the same way, and a failed batch changes nothing —
+    // including a batch whose FIRST id is fine but whose second is dead.
+    RecordUpdate ok_update;
+    ok_update.id = 4;
+    ok_update.record = (*records_)[5];
+    RecordUpdate dead_update;
+    dead_update.id = 2;
+    dead_update.record = (*records_)[6];
+    Result<IngestReport> mixed =
+        pipeline.Update({ok_update, dead_update}, matcher);
+    ASSERT_FALSE(mixed.ok());
+    EXPECT_EQ(mixed.status().code(), StatusCode::kInvalidArgument);
     ASSERT_TRUE(pipeline.status().ok());
+    EXPECT_TRUE(pipeline.is_alive(4));
+    EXPECT_FALSE(pipeline.is_alive(2));
+
+    // Liveness queries outside the id space answer "not alive" instead of
+    // reading past the liveness table.
+    EXPECT_FALSE(pipeline.is_alive(-1));
+    EXPECT_FALSE(pipeline.is_alive(
+        static_cast<RecordId>(pipeline.records().size())));
   }
-  ASSERT_TRUE(pipeline.Remove({2}, matcher).ok());
-  Result<IngestReport> twice = pipeline.Remove({2}, matcher);
-  ASSERT_FALSE(twice.ok());
-  EXPECT_EQ(twice.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(twice.status().message().find("tombstoned"), std::string::npos);
-
-  // Updates validate the same way, and a failed batch changes nothing —
-  // including a batch whose FIRST id is fine but whose second is dead.
-  RecordUpdate ok_update;
-  ok_update.id = 4;
-  ok_update.record = (*records_)[5];
-  RecordUpdate dead_update;
-  dead_update.id = 2;
-  dead_update.record = (*records_)[6];
-  Result<IngestReport> mixed = pipeline.Update({ok_update, dead_update}, matcher);
-  ASSERT_FALSE(mixed.ok());
-  EXPECT_EQ(mixed.status().code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(pipeline.status().ok());
-  EXPECT_TRUE(pipeline.is_alive(4));
-
-  // The sharded pipeline enforces the identical contract.
-  ShardedPipelineConfig sharded_config;
-  sharded_config.base = config;
-  sharded_config.num_shards = 2;
-  ShardedPipeline sharded(sharded_config);
-  ASSERT_TRUE(sharded.Ingest(*records_, matcher).ok());
-  Result<IngestReport> sharded_bad = sharded.Remove({n}, matcher);
-  ASSERT_FALSE(sharded_bad.ok());
-  EXPECT_EQ(sharded_bad.status().code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(sharded.status().ok());
 }
 
 TEST_F(FinancialCrud, CheckpointRoundTripCarriesTombstones) {
   JaccardMatcher matcher;
-  IncrementalPipelineConfig config = CrudConfig(2, 0.25);
-  IncrementalPipeline pipeline(config);
+  ShardedPipelineConfig config = CrudConfig(2, 0.25);
+  ShardedPipeline pipeline(config);
   ASSERT_TRUE(pipeline.Ingest(*records_, matcher).ok());
+  const std::string dir =
+      ::testing::TempDir() + "/crud_ckpt_" +
+      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
 
-  // Without tombstones, the image stamps format version 1 (byte offset 8):
-  // pre-tombstone readers keep loading tombstone-free checkpoints.
-  std::string clean = SerializeCheckpoint(pipeline).ValueOrDie();
+  // Without tombstones, the manifest stamps format version 1 (byte offset
+  // 8): pre-tombstone readers keep loading tombstone-free checkpoints.
+  ASSERT_TRUE(SaveShardedCheckpoint(pipeline, dir + "_clean").ok());
+  const std::string clean =
+      ReadWholeFile(ShardedManifestPath(dir + "_clean")).ValueOrDie();
   EXPECT_EQ(static_cast<uint32_t>(static_cast<uint8_t>(clean[8])), 1u);
 
   std::vector<RecordId> doomed;
@@ -730,16 +737,26 @@ TEST_F(FinancialCrud, CheckpointRoundTripCarriesTombstones) {
     doomed.push_back(static_cast<RecordId>(i));
   }
   ASSERT_TRUE(pipeline.Remove(doomed, matcher).ok());
-  std::string image = SerializeCheckpoint(pipeline).ValueOrDie();
-  EXPECT_EQ(static_cast<uint32_t>(static_cast<uint8_t>(image[8])), 2u);
+  ASSERT_TRUE(SaveShardedCheckpoint(pipeline, dir).ok());
+  const std::string manifest =
+      ReadWholeFile(ShardedManifestPath(dir)).ValueOrDie();
+  EXPECT_EQ(static_cast<uint32_t>(static_cast<uint8_t>(manifest[8])), 2u);
 
-  auto restored = ParseCheckpoint(image, matcher).ValueOrDie();
+  auto restored = LoadShardedCheckpoint(dir, matcher).ValueOrDie();
   EXPECT_EQ(restored->num_dead(), doomed.size());
   EXPECT_EQ(restored->alive(), pipeline.alive());
   ExpectEquivalent(restored->Snapshot().ValueOrDie(),
                    pipeline.Snapshot().ValueOrDie(), "restored snapshot");
-  // Re-serializing the restored pipeline reproduces the image bitwise.
-  EXPECT_EQ(SerializeCheckpoint(*restored).ValueOrDie(), image);
+  // Re-saving the restored pipeline reproduces the checkpoint bitwise.
+  const std::string dir2 = dir + "_resave";
+  ASSERT_TRUE(SaveShardedCheckpoint(*restored, dir2).ok());
+  EXPECT_EQ(ReadWholeFile(ShardedManifestPath(dir2)).ValueOrDie(), manifest);
+  const std::vector<std::string> paths = ShardFilePaths(dir).ValueOrDie();
+  const std::vector<std::string> paths2 = ShardFilePaths(dir2).ValueOrDie();
+  ASSERT_EQ(paths.size(), 1u);
+  ASSERT_EQ(paths2.size(), 1u);
+  EXPECT_EQ(ReadWholeFile(paths[0]).ValueOrDie(),
+            ReadWholeFile(paths2[0]).ValueOrDie());
 
   // The restored pipeline keeps mutating exactly like the original.
   std::vector<RecordId> more = {1, 4};
@@ -751,7 +768,7 @@ TEST_F(FinancialCrud, CheckpointRoundTripCarriesTombstones) {
                    pipeline.Snapshot().ValueOrDie(), "after restored mutations");
   ExpectEquivalent(restored->Snapshot().ValueOrDie(),
                    SurvivorReference(restored->records(), restored->alive(),
-                                     config, matcher),
+                                     config.base, matcher),
                    "restored vs survivors");
 }
 
@@ -760,7 +777,7 @@ TEST_F(FinancialCrud, MatchServiceExcludesTombstonedRecords) {
   // from the snapshot's groups, so GroupOf reports kNoGroup for them and
   // group membership lists never contain them.
   JaccardMatcher matcher;
-  IncrementalPipeline pipeline(CrudConfig(1, 0.25));
+  ShardedPipeline pipeline(CrudConfig(1, 0.25));
   ASSERT_TRUE(pipeline.Ingest(*records_, matcher).ok());
   MatchService service;
   service.Publish(pipeline.Snapshot().ValueOrDie(), pipeline.records().size());
@@ -787,28 +804,13 @@ TEST_F(FinancialCrud, MatchServiceExcludesTombstonedRecords) {
 // Seeded fuzz schedules: >= 200 across fixtures x threads x shard counts
 // ---------------------------------------------------------------------------
 
-void FuzzIncremental(const std::vector<Record>& pool, double threshold,
-                     size_t threads, uint64_t seed_base, size_t num_seeds) {
-  JaccardMatcher matcher;
-  for (uint64_t seed = 0; seed < num_seeds; ++seed) {
-    IncrementalPipelineConfig config = CrudConfig(threads, threshold);
-    IncrementalPipeline pipeline(config);
-    RunCrudSchedule(&pipeline, MakeSchedule(pool, seed_base + seed, 8), config,
-                    matcher,
-                    "incremental threads=" + std::to_string(threads) +
-                        " seed=" + std::to_string(seed_base + seed));
-  }
-}
-
 void FuzzSharded(const std::vector<Record>& pool, double threshold,
                  size_t num_shards, size_t threads, uint64_t seed_base,
                  size_t num_seeds) {
   JaccardMatcher matcher;
   for (uint64_t seed = 0; seed < num_seeds; ++seed) {
-    ShardedPipelineConfig config;
-    config.base = CrudConfig(threads, threshold);
-    config.num_shards = num_shards;
-    config.router_seed = seed_base + seed;
+    ShardedPipelineConfig config =
+        CrudConfig(threads, threshold, num_shards, seed_base + seed);
     ShardedPipeline pipeline(config);
     RunCrudSchedule(&pipeline, MakeSchedule(pool, seed_base + seed, 8),
                     config.base, matcher,
@@ -819,9 +821,9 @@ void FuzzSharded(const std::vector<Record>& pool, double threshold,
 }
 
 TEST_F(FinancialCrud, FuzzIncrementalSchedules) {
-  // 3 thread counts x 20 seeds = 60 schedules.
+  // The unsharded case (S=1): 3 thread counts x 20 seeds = 60 schedules.
   for (size_t threads : {1u, 2u, 8u}) {
-    FuzzIncremental(*records_, 0.25, threads, 1000, 20);
+    FuzzSharded(*records_, 0.25, 1, threads, 1000, 20);
   }
 }
 
@@ -854,9 +856,9 @@ class WdcCrud : public ::testing::Test {
 std::vector<Record>* WdcCrud::records_ = nullptr;
 
 TEST_F(WdcCrud, FuzzIncrementalSchedules) {
-  // 3 thread counts x 14 seeds = 42 schedules.
+  // The unsharded case (S=1): 3 thread counts x 14 seeds = 42 schedules.
   for (size_t threads : {1u, 2u, 8u}) {
-    FuzzIncremental(*records_, 0.35, threads, 3000, 14);
+    FuzzSharded(*records_, 0.35, 1, threads, 3000, 14);
   }
 }
 
@@ -873,9 +875,9 @@ TEST_F(WdcCrud, MidScheduleChecksStayEquivalent) {
   // A handful of schedules checked after EVERY op, not just at the end.
   JaccardMatcher matcher;
   for (uint64_t seed : {1u, 2u, 3u}) {
-    IncrementalPipelineConfig config = CrudConfig(2, 0.35);
-    IncrementalPipeline pipeline(config);
-    RunCrudSchedule(&pipeline, MakeSchedule(*records_, seed, 6), config,
+    ShardedPipelineConfig config = CrudConfig(2, 0.35);
+    ShardedPipeline pipeline(config);
+    RunCrudSchedule(&pipeline, MakeSchedule(*records_, seed, 6), config.base,
                     matcher, "wdc mid-schedule seed=" + std::to_string(seed),
                     /*check_every=*/1);
   }
@@ -883,11 +885,7 @@ TEST_F(WdcCrud, MidScheduleChecksStayEquivalent) {
 
 TEST_F(WdcCrud, ShardedCheckpointRoundTripCarriesTombstones) {
   JaccardMatcher matcher;
-  ShardedPipelineConfig config;
-  config.base = CrudConfig(2, 0.35);
-  config.num_shards = 3;
-  config.router_seed = 5;
-  ShardedPipeline pipeline(config);
+  ShardedPipeline pipeline(CrudConfig(2, 0.35, 3, 5));
   ASSERT_TRUE(pipeline.Ingest(*records_, matcher).ok());
   std::vector<RecordId> doomed;
   for (size_t i = 1; i < records_->size(); i += 4) {

@@ -25,7 +25,7 @@
 #include "eval/metrics.h"
 #include "matching/baselines.h"
 #include "matching/cascade_matcher.h"
-#include "stream/incremental_pipeline.h"
+#include "shard/sharded_pipeline.h"
 #include "text/normalize.h"
 
 namespace gralmatch {
@@ -236,12 +236,12 @@ TEST(GoldenFinancial, CorrectionScheduleMetricsPinned) {
   config.num_groups = 250;
   FinancialBenchmark bench = FinancialGenerator(config).Generate();
 
-  IncrementalPipelineConfig stream_config;
-  stream_config.pipeline.cleanup.gamma = 25;
-  stream_config.pipeline.cleanup.mu = 5;
-  stream_config.pipeline.pre_cleanup_threshold = 50;
-  stream_config.token.top_n = 5;
-  IncrementalPipeline pipeline(stream_config);
+  ShardedPipelineConfig stream_config;
+  stream_config.base.pipeline.cleanup.gamma = 25;
+  stream_config.base.pipeline.cleanup.mu = 5;
+  stream_config.base.pipeline.pre_cleanup_threshold = 50;
+  stream_config.base.token.top_n = 5;
+  ShardedPipeline pipeline(stream_config);
   HeuristicIdMatcher matcher;
 
   std::vector<Record> all;

@@ -36,7 +36,7 @@
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "serve/match_service.h"
-#include "stream/incremental_pipeline.h"
+#include "shard/sharded_pipeline.h"
 
 namespace gralmatch {
 namespace {
@@ -211,13 +211,13 @@ std::vector<Record> FinancialRecords(size_t num_groups) {
   return FinancialGenerator(config).Generate().securities.records.records();
 }
 
-IncrementalPipelineConfig NetTestConfig(size_t num_threads) {
-  IncrementalPipelineConfig config;
-  config.pipeline.cleanup.gamma = 8;
-  config.pipeline.cleanup.mu = 4;
-  config.pipeline.pre_cleanup_threshold = 12;
-  config.pipeline.match_threshold = 0.5;
-  config.pipeline.num_threads = num_threads;
+ShardedPipelineConfig NetTestConfig(size_t num_threads) {
+  ShardedPipelineConfig config;
+  config.base.pipeline.cleanup.gamma = 8;
+  config.base.pipeline.cleanup.mu = 4;
+  config.base.pipeline.pre_cleanup_threshold = 12;
+  config.base.pipeline.match_threshold = 0.5;
+  config.base.pipeline.num_threads = num_threads;
   return config;
 }
 
@@ -226,7 +226,7 @@ IncrementalPipelineConfig NetTestConfig(size_t num_threads) {
 class NetServerTest : public ::testing::Test {
  protected:
   void StartServer(const NetServerOptions& options = {}) {
-    pipeline_ = std::make_unique<IncrementalPipeline>(NetTestConfig(2));
+    pipeline_ = std::make_unique<ShardedPipeline>(NetTestConfig(2));
     ASSERT_TRUE(pipeline_->Ingest(FinancialRecords(30), matcher_).ok());
     service_.Publish(pipeline_->Snapshot().ValueOrDie(),
                      pipeline_->records().size());
@@ -254,7 +254,7 @@ class NetServerTest : public ::testing::Test {
   /// before StartServer; the registry must outlive the server.
   obs::MetricsRegistry registry_;
   HeuristicIdMatcher matcher_;
-  std::unique_ptr<IncrementalPipeline> pipeline_;
+  std::unique_ptr<ShardedPipeline> pipeline_;
   MatchService service_;
   std::unique_ptr<NetServer> server_;
 };
@@ -573,7 +573,7 @@ TEST(NetServerStandaloneTest, ZeroLimitsAreRefusedAtStart) {
 
 TEST(NetStressTest, ConcurrentClientsMatchDirectViewsWhileIngestPublishes) {
   const std::vector<Record> records = FinancialRecords(40);
-  IncrementalPipeline pipeline(NetTestConfig(2));
+  ShardedPipeline pipeline(NetTestConfig(2));
   HeuristicIdMatcher matcher;
   MatchService service;
   NetServerOptions options;
@@ -598,10 +598,21 @@ TEST(NetStressTest, ConcurrentClientsMatchDirectViewsWhileIngestPublishes) {
     ServeStats stats;
   };
   std::vector<std::vector<Observation>> logs(kNumClients);
+  // Clients that logged at least one reply, and clients that returned (a
+  // failed ASSERT returns early). Ingest may finish before any client is
+  // scheduled, so the ingester waits for one reply per client (or for a
+  // client to give up) before it stops them.
+  std::atomic<size_t> answered{0};
+  std::atomic<size_t> exited{0};
+  struct CountOnExit {
+    std::atomic<size_t>* count;
+    ~CountOnExit() { count->fetch_add(1, std::memory_order_release); }
+  };
   std::vector<std::thread> clients;
   clients.reserve(kNumClients);
   for (size_t t = 0; t < kNumClients; ++t) {
     clients.emplace_back([&, t] {
+      const CountOnExit on_exit{&exited};
       auto client = NetClient::Connect(server.port());
       ASSERT_TRUE(client.ok()) << client.status().ToString();
       uint32_t rng = static_cast<uint32_t>(t) * 2654435761u + 1u;
@@ -631,6 +642,9 @@ TEST(NetStressTest, ConcurrentClientsMatchDirectViewsWhileIngestPublishes) {
           obs.members.clear();  // spanned an epoch boundary; skip the check
         }
         logs[t].push_back(std::move(obs));
+        if (logs[t].size() == 1) {
+          answered.fetch_add(1, std::memory_order_release);
+        }
       }
     });
   }
@@ -649,6 +663,10 @@ TEST(NetStressTest, ConcurrentClientsMatchDirectViewsWhileIngestPublishes) {
     const MatchSnapshotPtr published = service.View();
     std::lock_guard<std::mutex> lock(history_mu);
     history[published->epoch()] = published;
+  }
+  while (answered.load(std::memory_order_acquire) < kNumClients &&
+         exited.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
   }
   done.store(true, std::memory_order_release);
   for (std::thread& thread : clients) thread.join();

@@ -14,8 +14,8 @@
 // state byte-identical outside the two trailing cumulative wall-clock
 // doubles (which differ between any two runs, instrumented or not) to an
 // uninstrumented run of the same schedule, on both the
-// financial-securities and WDC-products fixtures, across thread counts
-// and shard counts. A pipeline restored from a checkpoint
+// financial-securities and WDC-products fixtures, across shard counts
+// (S=1 included) and thread counts. A pipeline restored from a checkpoint
 // must come back uninstrumented (the registry pointer never enters
 // checkpoint bytes) until explicitly re-wired with set_metrics().
 
@@ -35,9 +35,8 @@
 #include "datagen/wdc_gen.h"
 #include "matching/matcher.h"
 #include "obs/metrics.h"
-#include "serve/checkpoint.h"
+#include "serve/sharded_checkpoint.h"
 #include "shard/sharded_pipeline.h"
-#include "stream/incremental_pipeline.h"
 #include "text/normalize.h"
 
 namespace gralmatch {
@@ -331,18 +330,6 @@ IncrementalPipelineConfig StreamConfig(size_t num_threads) {
 }
 
 /// Ingest `records` in three batches.
-void IngestInBatches(IncrementalPipeline* pipeline,
-                     const std::vector<Record>& records,
-                     const PairwiseMatcher& matcher) {
-  const size_t batch_size = (records.size() + 2) / 3;
-  for (size_t begin = 0; begin < records.size(); begin += batch_size) {
-    const size_t end = std::min(begin + batch_size, records.size());
-    std::vector<Record> batch(records.begin() + static_cast<long>(begin),
-                              records.begin() + static_cast<long>(end));
-    ASSERT_TRUE(pipeline->Ingest(batch, matcher).ok());
-  }
-}
-
 void IngestInBatches(ShardedPipeline* pipeline,
                      const std::vector<Record>& records,
                      const PairwiseMatcher& matcher) {
@@ -362,20 +349,11 @@ void ExpectSameSnapshot(const PipelineResult& a, const PipelineResult& b) {
 }
 
 /// Byte size of the cumulative wall-clock totals (two doubles: scoring and
-/// cleanup seconds) that close both the incremental body and the sharded
-/// manifest body. They are run-dependent even between two uninstrumented
-/// runs of the same schedule, so the differential excises exactly them;
-/// everything before must be bitwise-identical.
+/// cleanup seconds) that close the manifest body. They are run-dependent
+/// even between two uninstrumented runs of the same schedule, so the
+/// differential excises exactly them; everything before must be
+/// bitwise-identical.
 constexpr size_t kWallClockTrailerBytes = 2 * sizeof(double);
-
-std::string DeterministicBody(const IncrementalPipeline& pipeline) {
-  BinaryWriter writer;
-  EXPECT_TRUE(pipeline.Serialize(&writer).ok());
-  std::string body = writer.buffer();
-  EXPECT_GE(body.size(), kWallClockTrailerBytes);
-  body.resize(body.size() - kWallClockTrailerBytes);
-  return body;
-}
 
 std::string DeterministicManifest(const ShardedPipeline& pipeline) {
   BinaryWriter writer;
@@ -386,46 +364,19 @@ std::string DeterministicManifest(const ShardedPipeline& pipeline) {
   return body;
 }
 
-TEST(ObsInertnessTest, InstrumentedIncrementalRunIsBitwiseIdentical) {
+/// Ingests both fixtures in three batches at `num_shards` and each of 1, 2
+/// and 8 threads, once uninstrumented and once wired to a registry, and
+/// checks that the instrumented run recorded every phase once per mutation
+/// and changed nothing.
+void ExpectInstrumentedRunIsBitwiseIdentical(size_t num_shards) {
   JaccardMatcher matcher;
   for (const auto& records : {FinancialRecords(), WdcRecords()}) {
     for (const size_t num_threads : {size_t{1}, size_t{2}, size_t{8}}) {
       SCOPED_TRACE("records=" + std::to_string(records.size()) +
+                   " shards=" + std::to_string(num_shards) +
                    " threads=" + std::to_string(num_threads));
-      IncrementalPipelineConfig off_config = StreamConfig(num_threads);
-      IncrementalPipeline off(off_config);
-      IngestInBatches(&off, records, matcher);
-
-      MetricsRegistry registry;
-      IncrementalPipelineConfig on_config = StreamConfig(num_threads);
-      on_config.pipeline.metrics = &registry;
-      IncrementalPipeline on(on_config);
-      IngestInBatches(&on, records, matcher);
-
-      // The instrumented run really recorded...
-      EXPECT_EQ(registry.GetCounter("pipeline_mutations_total")->Value(), 3u);
-      EXPECT_EQ(registry.GetCounter("pipeline_records_added_total")->Value(),
-                records.size());
-      EXPECT_GT(
-          registry.GetHistogram("pipeline_scoring_seconds")->TotalCount(), 0u);
-      // ...and changed nothing: identical snapshots and byte-identical
-      // serialized state outside the wall-clock trailer (which also proves
-      // no registry state leaked into the serialized config).
-      ExpectSameSnapshot(on.Snapshot().ValueOrDie(),
-                         off.Snapshot().ValueOrDie());
-      EXPECT_EQ(DeterministicBody(on), DeterministicBody(off));
-    }
-  }
-}
-
-TEST(ObsInertnessTest, InstrumentedShardedRunIsBitwiseIdentical) {
-  JaccardMatcher matcher;
-  for (const auto& records : {FinancialRecords(), WdcRecords()}) {
-    for (const size_t num_shards : {size_t{1}, size_t{2}, size_t{4}}) {
-      SCOPED_TRACE("records=" + std::to_string(records.size()) +
-                   " shards=" + std::to_string(num_shards));
       ShardedPipelineConfig off_config;
-      off_config.base = StreamConfig(2);
+      off_config.base = StreamConfig(num_threads);
       off_config.num_shards = num_shards;
       off_config.router_seed = 17;
       ShardedPipeline off(off_config);
@@ -437,14 +388,21 @@ TEST(ObsInertnessTest, InstrumentedShardedRunIsBitwiseIdentical) {
       ShardedPipeline on(on_config);
       IngestInBatches(&on, records, matcher);
 
+      // The instrumented run really recorded...
       EXPECT_EQ(registry.GetCounter("pipeline_mutations_total")->Value(), 3u);
-      EXPECT_GT(registry.GetHistogram("shard_route_seconds")->TotalCount(),
-                0u);
-      EXPECT_GT(registry.GetHistogram("shard_exchange_seconds")->TotalCount(),
-                0u);
+      EXPECT_EQ(registry.GetCounter("pipeline_records_added_total")->Value(),
+                records.size());
+      for (const char* phase :
+           {"pipeline_blocking_seconds", "shard_route_seconds",
+            "shard_exchange_seconds", "pipeline_scoring_seconds",
+            "pipeline_cleanup_seconds"}) {
+        EXPECT_EQ(registry.GetHistogram(phase)->TotalCount(), 3u) << phase;
+      }
+      // ...and changed nothing: identical snapshots and byte-identical
+      // serialized state outside the wall-clock trailer (which also proves
+      // no registry state leaked into the serialized config).
       ExpectSameSnapshot(on.Snapshot().ValueOrDie(),
                          off.Snapshot().ValueOrDie());
-
       EXPECT_EQ(DeterministicManifest(on), DeterministicManifest(off));
       // Shard bodies carry no wall-clock state at all: full bitwise.
       std::vector<BinaryWriter> on_shards, off_shards;
@@ -459,22 +417,37 @@ TEST(ObsInertnessTest, InstrumentedShardedRunIsBitwiseIdentical) {
   }
 }
 
+// One shard is the unsharded incremental engine.
+TEST(ObsInertnessTest, InstrumentedIncrementalRunIsBitwiseIdentical) {
+  ExpectInstrumentedRunIsBitwiseIdentical(1);
+}
+
+TEST(ObsInertnessTest, InstrumentedShardedRunIsBitwiseIdentical) {
+  for (const size_t num_shards : {size_t{2}, size_t{4}}) {
+    ExpectInstrumentedRunIsBitwiseIdentical(num_shards);
+  }
+}
+
 TEST(ObsInertnessTest, RestoredPipelineIsUninstrumentedUntilRewired) {
   JaccardMatcher matcher;
   const std::vector<Record> records = FinancialRecords();
 
   MetricsRegistry registry;
-  IncrementalPipelineConfig config = StreamConfig(2);
-  config.pipeline.metrics = &registry;
-  IncrementalPipeline pipeline(config);
+  ShardedPipelineConfig config;
+  config.base = StreamConfig(2);
+  config.base.pipeline.metrics = &registry;
+  ShardedPipeline pipeline(config);
   IngestInBatches(&pipeline, records, matcher);
 
-  auto restored =
-      ParseCheckpoint(SerializeCheckpoint(pipeline).ValueOrDie(), matcher);
+  const std::string dir =
+      ::testing::TempDir() + "/obs_restored_" +
+      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
+  ASSERT_TRUE(SaveShardedCheckpoint(pipeline, dir).ok());
+  auto restored = LoadShardedCheckpoint(dir, matcher);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   // The registry pointer is runtime-only state: it never survives the
   // round trip, whatever the saved pipeline had wired.
-  EXPECT_EQ((*restored)->config().pipeline.metrics, nullptr);
+  EXPECT_EQ((*restored)->config().base.pipeline.metrics, nullptr);
 
   const uint64_t mutations_before =
       registry.GetCounter("pipeline_mutations_total")->Value();

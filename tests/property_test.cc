@@ -930,7 +930,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MetricsPropertyTest,
 
 // ---------------------------------------------------------------------------
 // Union-find merge semantics. The sharded pipeline's cross-shard merge
-// (stream/group_store.h) unions per-shard positive edges into global
+// (shard/group_store.h) unions per-shard positive edges into global
 // components; these properties — idempotent unions, representative
 // stability under interleaved finds, agreement with a reference partition —
 // are exactly what that merge step relies on.

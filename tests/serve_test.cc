@@ -1,14 +1,17 @@
 // Test suite for the serving subsystem: durable checkpoints and concurrent
 // epoch-snapshot serving.
 //
-// Checkpoints: Save -> Load -> Snapshot() must be bitwise-identical to the
-// pre-save Snapshot() on both fixtures and across multi-batch schedules, and
-// ingestion *after* a Load must still satisfy the stream_test
-// batch-equivalence guarantee at 1/2/8 threads — a restored pipeline is
-// indistinguishable from one that never restarted, down to the score cache
-// (no pair is rescored after a reload). Corrupted inputs — truncated files,
-// bad magic, future versions, bit flips, fingerprint mismatches — must fail
-// with a clean Status, never crash (exercised under ASan in CI).
+// Checkpoints, at one shard (a manifest plus one shard file): Save -> Load
+// -> Snapshot() must be bitwise-identical to the pre-save Snapshot() on both
+// fixtures and across multi-batch schedules, and ingestion *after* a Load
+// must still satisfy the stream_test batch-equivalence guarantee at 1/2/8
+// threads — a restored pipeline is indistinguishable from one that never
+// restarted, down to the score cache (no pair is rescored after a reload).
+// Corrupted inputs — empty or truncated files (every prefix of the manifest
+// and of the shard file), bad magic, future versions, bit flips, trailing
+// garbage, fingerprint mismatches — must fail with a clean Status, never
+// crash (exercised under ASan in CI). tests/shard_test.cc covers the same
+// format at S > 1.
 //
 // Serving: MatchService publishes immutable epoch snapshots; a
 // reader/ingester stress test (run under TSan in CI) checks every view is
@@ -17,10 +20,14 @@
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -32,10 +39,10 @@
 #include "core/pipeline.h"
 #include "datagen/financial_gen.h"
 #include "datagen/wdc_gen.h"
-#include "serve/checkpoint.h"
 #include "serve/framing.h"
 #include "serve/match_service.h"
-#include "stream/incremental_pipeline.h"
+#include "serve/sharded_checkpoint.h"
+#include "shard/sharded_pipeline.h"
 #include "text/normalize.h"
 
 namespace gralmatch {
@@ -90,14 +97,15 @@ class JaccardMatcher : public PairwiseMatcher {
   double scale_;
 };
 
-IncrementalPipelineConfig ServeConfig(size_t num_threads) {
-  IncrementalPipelineConfig config;
-  config.pipeline.cleanup.gamma = 6;
-  config.pipeline.cleanup.mu = 3;
-  config.pipeline.pre_cleanup_threshold = 9;
-  config.pipeline.match_threshold = 0.25;
-  config.pipeline.num_threads = num_threads;
-  config.token.top_n = 5;
+/// One-shard pipeline configuration.
+ShardedPipelineConfig ServeConfig(size_t num_threads) {
+  ShardedPipelineConfig config;
+  config.base.pipeline.cleanup.gamma = 6;
+  config.base.pipeline.cleanup.mu = 3;
+  config.base.pipeline.pre_cleanup_threshold = 9;
+  config.base.pipeline.match_threshold = 0.25;
+  config.base.pipeline.num_threads = num_threads;
+  config.base.token.top_n = 5;
   return config;
 }
 
@@ -117,7 +125,7 @@ std::vector<Record> WdcRecords() {
 }
 
 /// Ingest `records` in `batches` equal batches.
-void IngestAll(IncrementalPipeline* pipeline, const std::vector<Record>& records,
+void IngestAll(ShardedPipeline* pipeline, const std::vector<Record>& records,
                size_t begin, size_t end, size_t batches,
                const PairwiseMatcher& matcher) {
   const size_t span = end - begin;
@@ -206,23 +214,145 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+/// Parent of this process's checkpoint directories: ctest runs every test
+/// case in its own process, several at once, and two processes must never
+/// save into (or garbage-collect) one directory.
+const std::string& ScratchRoot() {
+  static const std::string root =
+      TempPath("serve_test_" + std::to_string(getpid()));
+  return root;
+}
+
+/// Removes the scratch root once every test of the process has run.
+class RemoveScratchRoot : public ::testing::Environment {
+ public:
+  void TearDown() override { std::filesystem::remove_all(ScratchRoot()); }
+};
+[[maybe_unused]] const ::testing::Environment* const kRemoveScratchRoot =
+    ::testing::AddGlobalTestEnvironment(new RemoveScratchRoot);
+
+std::string CheckpointDir(const std::string& name) {
+  mkdir(ScratchRoot().c_str(), 0777);
+  return ScratchRoot() + "/" + name;
+}
+
+std::string ReadFile(const std::string& path) {
+  return ReadWholeFile(path).ValueOrDie();
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The files of a one-shard checkpoint, read into memory: the manifest and
+/// the shard file under the content-addressed name the manifest gives it.
+struct CheckpointImage {
+  std::string manifest;
+  std::string shard;
+  std::string shard_name;
+
+  bool operator==(const CheckpointImage& other) const {
+    return manifest == other.manifest && shard == other.shard &&
+           shard_name == other.shard_name;
+  }
+};
+
+/// Save `pipeline` into `dir` and read the checkpoint back as bytes.
+CheckpointImage SaveImage(const ShardedPipeline& pipeline,
+                          const std::string& dir) {
+  EXPECT_TRUE(SaveShardedCheckpoint(pipeline, dir).ok());
+  CheckpointImage image;
+  image.manifest = ReadFile(ShardedManifestPath(dir));
+  const std::vector<std::string> paths = ShardFilePaths(dir).ValueOrDie();
+  EXPECT_EQ(paths.size(), 1u);
+  image.shard = ReadFile(paths[0]);
+  image.shard_name = paths[0].substr(paths[0].find_last_of('/') + 1);
+  return image;
+}
+
+/// Write `image` into `dir` — the manifest, and the shard bytes under the
+/// name the *original* manifest gave them, whatever the bytes now are —
+/// and load it.
+Result<std::unique_ptr<ShardedPipeline>> LoadImage(
+    const CheckpointImage& image, const std::string& dir,
+    const PairwiseMatcher& matcher, size_t num_threads_override = 0) {
+  mkdir(dir.c_str(), 0777);
+  WriteFile(ShardedManifestPath(dir), image.manifest);
+  WriteFile(dir + "/" + image.shard_name, image.shard);
+  return LoadShardedCheckpoint(dir, matcher, num_threads_override);
+}
+
+/// Replace the trailing FNV-1a 64 checksum of a framed image with the one
+/// its (patched) content now has.
+std::string WithFixedChecksum(std::string image) {
+  image.resize(image.size() - 8);
+  BinaryWriter fixed;
+  fixed.WriteBytes(image.data(), image.size());
+  fixed.WriteU64(Fnv1a64(std::string_view(image)));
+  return fixed.buffer();
+}
+
+/// Repair every framing layer after a deliberate patch of the shard bytes:
+/// the shard file's trailing checksum, its content-addressed name, the
+/// manifest's recorded checksum for it, and the manifest's own trailer —
+/// so the patch reaches the validators behind the checksums.
+void Reframe(CheckpointImage* image) {
+  image->shard = WithFixedChecksum(image->shard);
+  const uint64_t checksum = Fnv1a64(image->shard);
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(checksum));
+  image->shard_name = std::string("shard-0-") + hex + ".grlm";
+  // Manifest layout: magic 8, version u32, fingerprint (u64 length +
+  // bytes), u64 shard count, then the one shard checksum.
+  BinaryReader reader(std::string_view(image->manifest).substr(12));
+  std::string fingerprint;
+  ASSERT_TRUE(reader.ReadString(&fingerprint).ok());
+  const size_t pos = 12 + 8 + fingerprint.size() + 8;
+  BinaryWriter patched;
+  patched.WriteU64(checksum);
+  image->manifest.replace(pos, 8, patched.buffer());
+  image->manifest = WithFixedChecksum(image->manifest);
+}
+
+/// Cut the manifest, then the shard file, to every proper prefix (one byte
+/// shorter at a time, down to empty); each load must fail cleanly, and the
+/// intact files must load before each sweep.
+void ExpectEveryTruncationFails(const CheckpointImage& image,
+                                const std::string& dir) {
+  JaccardMatcher matcher;
+  for (const std::string& path :
+       {ShardedManifestPath(dir), dir + "/" + image.shard_name}) {
+    ASSERT_TRUE(LoadImage(image, dir, matcher).ok());
+    for (size_t len = ReadFile(path).size(); len-- > 0;) {
+      ASSERT_EQ(truncate(path.c_str(), static_cast<off_t>(len)), 0);
+      ASSERT_FALSE(LoadShardedCheckpoint(dir, matcher).ok())
+          << path << " cut to " << len << " bytes";
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Checkpoint round trips
+// Checkpoint round trips (one shard: the unsharded case of the format)
 // ---------------------------------------------------------------------------
 
 TEST(CheckpointTest, RoundTripIsBitwiseIdenticalOnFinancialFixture) {
   const std::vector<Record> records = FinancialRecords();
   JaccardMatcher matcher;
-  IncrementalPipeline pipeline(ServeConfig(2));
+  ShardedPipeline pipeline(ServeConfig(2));
   // Mid-stream and end-of-stream checkpoints both round-trip exactly.
   IngestAll(&pipeline, records, 0, records.size() / 2, 3, matcher);
+  const std::string dir = CheckpointDir("serve_roundtrip_financial");
   for (int phase = 0; phase < 2; ++phase) {
-    const std::string image = SerializeCheckpoint(pipeline).ValueOrDie();
-    auto restored = ParseCheckpoint(image, matcher);
+    ASSERT_TRUE(SaveShardedCheckpoint(pipeline, dir).ok());
+    auto restored = LoadShardedCheckpoint(dir, matcher);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    ExpectBitwiseIdentical((*restored)->Snapshot().ValueOrDie(), pipeline.Snapshot().ValueOrDie(),
+    ExpectBitwiseIdentical((*restored)->Snapshot().ValueOrDie(),
+                           pipeline.Snapshot().ValueOrDie(),
                            "phase " + std::to_string(phase));
     EXPECT_EQ((*restored)->records().size(), pipeline.records().size());
+    EXPECT_EQ((*restored)->num_shards(), 1u);
     EXPECT_EQ((*restored)->total_matcher_calls(),
               pipeline.total_matcher_calls());
     EXPECT_EQ((*restored)->total_cache_hits(), pipeline.total_cache_hits());
@@ -237,47 +367,64 @@ TEST(CheckpointTest, RoundTripIsBitwiseIdenticalOnFinancialFixture) {
 TEST(CheckpointTest, RoundTripIsBitwiseIdenticalOnWdcFixture) {
   const std::vector<Record> records = WdcRecords();
   JaccardMatcher matcher;
-  IncrementalPipelineConfig config = ServeConfig(1);
-  config.pipeline.match_threshold = 0.35;
-  IncrementalPipeline pipeline(config);
+  ShardedPipelineConfig config = ServeConfig(1);
+  config.base.pipeline.match_threshold = 0.35;
+  ShardedPipeline pipeline(config);
   IngestAll(&pipeline, records, 0, records.size(), 5, matcher);
-  auto restored = ParseCheckpoint(SerializeCheckpoint(pipeline).ValueOrDie(), matcher);
+  const std::string dir = CheckpointDir("serve_roundtrip_wdc");
+  ASSERT_TRUE(SaveShardedCheckpoint(pipeline, dir).ok());
+  auto restored = LoadShardedCheckpoint(dir, matcher);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ExpectBitwiseIdentical((*restored)->Snapshot().ValueOrDie(), pipeline.Snapshot().ValueOrDie(), "wdc");
+  ExpectBitwiseIdentical((*restored)->Snapshot().ValueOrDie(),
+                         pipeline.Snapshot().ValueOrDie(), "wdc");
 }
 
 TEST(CheckpointTest, SerializationIsDeterministic) {
   const std::vector<Record> records = FinancialRecords(40);
   JaccardMatcher matcher;
-  IncrementalPipeline pipeline(ServeConfig(4));
+  ShardedPipeline pipeline(ServeConfig(4));
   IngestAll(&pipeline, records, 0, records.size(), 4, matcher);
-  const std::string image = SerializeCheckpoint(pipeline).ValueOrDie();
-  // Same pipeline, same bytes.
-  EXPECT_EQ(SerializeCheckpoint(pipeline).ValueOrDie(), image);
-  // Save -> Load -> Save reproduces the image byte for byte (the format has
-  // no hash-map iteration order or other incidental state in it).
-  auto restored = ParseCheckpoint(image, matcher);
+  const CheckpointImage image =
+      SaveImage(pipeline, CheckpointDir("serve_determinism_a"));
+  // Same pipeline, same bytes (and the same content-addressed name).
+  EXPECT_TRUE(SaveImage(pipeline, CheckpointDir("serve_determinism_b")) ==
+              image);
+  // Save -> Load -> Save reproduces the checkpoint byte for byte (the
+  // format has no hash-map iteration order or other incidental state).
+  auto restored =
+      LoadImage(image, CheckpointDir("serve_determinism_load"), matcher);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(SerializeCheckpoint(**restored).ValueOrDie(), image);
+  EXPECT_TRUE(SaveImage(**restored, CheckpointDir("serve_determinism_c")) ==
+              image);
 }
 
 TEST(CheckpointTest, FileRoundTripViaSaveAndLoad) {
   const std::vector<Record> records = FinancialRecords(40);
   JaccardMatcher matcher;
-  IncrementalPipeline pipeline(ServeConfig(1));
+  ShardedPipeline pipeline(ServeConfig(1));
   IngestAll(&pipeline, records, 0, records.size(), 2, matcher);
 
-  const std::string path = TempPath("serve_roundtrip.ckpt");
-  ASSERT_TRUE(SaveCheckpoint(pipeline, path).ok());
-  // The atomic-rename staging file must not linger.
-  std::FILE* tmp = std::fopen((path + ".tmp").c_str(), "rb");
-  EXPECT_EQ(tmp, nullptr);
-  if (tmp != nullptr) std::fclose(tmp);
+  const std::string dir = CheckpointDir("serve_file_roundtrip");
+  ASSERT_TRUE(SaveShardedCheckpoint(pipeline, dir).ok());
+  // The atomic-rename staging files must not linger: the directory holds
+  // exactly the manifest and the one shard file.
+  DIR* handle = opendir(dir.c_str());
+  ASSERT_NE(handle, nullptr);
+  std::vector<std::string> names;
+  while (dirent* entry = readdir(handle)) {
+    const std::string name = entry->d_name;
+    if (name != "." && name != "..") names.push_back(name);
+  }
+  closedir(handle);
+  EXPECT_EQ(names.size(), 2u);
+  for (const std::string& name : names) {
+    EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
+  }
 
-  auto restored = LoadCheckpoint(path, matcher);
+  auto restored = LoadShardedCheckpoint(dir, matcher);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ExpectBitwiseIdentical((*restored)->Snapshot().ValueOrDie(), pipeline.Snapshot().ValueOrDie(), "file");
-  std::remove(path.c_str());
+  ExpectBitwiseIdentical((*restored)->Snapshot().ValueOrDie(),
+                         pipeline.Snapshot().ValueOrDie(), "file");
 }
 
 TEST(CheckpointTest, ConcurrentSaversToOnePathNeverTearTheFile) {
@@ -336,20 +483,21 @@ TEST(CheckpointTest, ConcurrentSaversToOnePathNeverTearTheFile) {
 TEST(CheckpointTest, PostLoadIngestionKeepsBatchEquivalenceAtEveryThreadCount) {
   const std::vector<Record> records = FinancialRecords();
   JaccardMatcher matcher;
-  IncrementalPipeline pipeline(ServeConfig(2));
+  ShardedPipeline pipeline(ServeConfig(2));
   IngestAll(&pipeline, records, 0, records.size() / 2, 3, matcher);
-  const std::string image = SerializeCheckpoint(pipeline).ValueOrDie();
+  const std::string dir = CheckpointDir("serve_post_load_threads");
+  ASSERT_TRUE(SaveShardedCheckpoint(pipeline, dir).ok());
 
   for (size_t threads : {1u, 2u, 8u}) {
-    auto restored = ParseCheckpoint(image, matcher, /*num_threads_override=*/
-                                    threads);
+    auto restored =
+        LoadShardedCheckpoint(dir, matcher, /*num_threads_override=*/threads);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    EXPECT_EQ((*restored)->config().pipeline.num_threads, threads);
+    EXPECT_EQ((*restored)->config().base.pipeline.num_threads, threads);
     IngestAll(restored->get(), records, records.size() / 2, records.size(), 4,
               matcher);
     ExpectEquivalent(
         (*restored)->Snapshot().ValueOrDie(),
-        RunBatchReference((*restored)->records(), (*restored)->config(),
+        RunBatchReference((*restored)->records(), (*restored)->config().base,
                           matcher),
         "post-load ingest at threads=" + std::to_string(threads));
   }
@@ -362,14 +510,16 @@ TEST(CheckpointTest, PostLoadIngestionNeverRescoresCachedPairs) {
   const std::vector<Record> records = FinancialRecords();
   JaccardMatcher matcher;
 
-  IncrementalPipeline uninterrupted(ServeConfig(1));
+  ShardedPipeline uninterrupted(ServeConfig(1));
   IngestAll(&uninterrupted, records, 0, records.size() / 2, 3, matcher);
   IngestAll(&uninterrupted, records, records.size() / 2, records.size(), 3,
             matcher);
 
-  IncrementalPipeline first_half(ServeConfig(1));
+  ShardedPipeline first_half(ServeConfig(1));
   IngestAll(&first_half, records, 0, records.size() / 2, 3, matcher);
-  auto restored = ParseCheckpoint(SerializeCheckpoint(first_half).ValueOrDie(), matcher);
+  const std::string dir = CheckpointDir("serve_post_load_no_rescore");
+  ASSERT_TRUE(SaveShardedCheckpoint(first_half, dir).ok());
+  auto restored = LoadShardedCheckpoint(dir, matcher);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   IngestAll(restored->get(), records, records.size() / 2, records.size(), 3,
             matcher);
@@ -381,12 +531,17 @@ TEST(CheckpointTest, PostLoadIngestionNeverRescoresCachedPairs) {
 
 TEST(CheckpointTest, EmptyPipelineRoundTrips) {
   JaccardMatcher matcher;
-  IncrementalPipeline pipeline(ServeConfig(1));
-  auto restored = ParseCheckpoint(SerializeCheckpoint(pipeline).ValueOrDie(), matcher);
+  ShardedPipeline pipeline(ServeConfig(1));
+  const std::string dir = CheckpointDir("serve_empty_roundtrip");
+  const CheckpointImage image = SaveImage(pipeline, dir);
+  auto restored = LoadShardedCheckpoint(dir, matcher);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ((*restored)->records().size(), 0u);
-  ExpectBitwiseIdentical((*restored)->Snapshot().ValueOrDie(), pipeline.Snapshot().ValueOrDie(),
-                         "empty");
+  EXPECT_TRUE((*restored)->fingerprint().empty());
+  ExpectBitwiseIdentical((*restored)->Snapshot().ValueOrDie(),
+                         pipeline.Snapshot().ValueOrDie(), "empty");
+  EXPECT_TRUE(SaveImage(**restored, CheckpointDir("serve_empty_resave")) ==
+              image);
 }
 
 // ---------------------------------------------------------------------------
@@ -399,60 +554,78 @@ class CheckpointCorruptionTest : public ::testing::Test {
   static void SetUpTestSuite() {
     const std::vector<Record> records = FinancialRecords(40);
     JaccardMatcher matcher;
-    IncrementalPipeline pipeline(ServeConfig(1));
+    ShardedPipeline pipeline(ServeConfig(1));
     IngestAll(&pipeline, records, 0, records.size(), 3, matcher);
-    image_ = new std::string(SerializeCheckpoint(pipeline).ValueOrDie());
+    image_ = new CheckpointImage(
+        SaveImage(pipeline, CheckpointDir("serve_corruption_fixture")));
   }
   static void TearDownTestSuite() {
     delete image_;
     image_ = nullptr;
   }
 
-  static std::string* image_;
+  static CheckpointImage* image_;
 };
 
-std::string* CheckpointCorruptionTest::image_ = nullptr;
+CheckpointImage* CheckpointCorruptionTest::image_ = nullptr;
 
 TEST_F(CheckpointCorruptionTest, EmptyInputFailsCleanly) {
   JaccardMatcher matcher;
-  auto result = ParseCheckpoint("", matcher);
+  CheckpointImage empty_manifest = *image_;
+  empty_manifest.manifest.clear();
+  auto result = LoadImage(empty_manifest, CheckpointDir("serve_empty_input"),
+                          matcher);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+
+  CheckpointImage empty_shard = *image_;
+  empty_shard.shard.clear();
+  result = LoadImage(empty_shard, CheckpointDir("serve_empty_input"), matcher);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }
 
 TEST_F(CheckpointCorruptionTest, BadMagicRejected) {
   JaccardMatcher matcher;
-  std::string image = *image_;
-  image[0] ^= 0x5a;
-  auto result = ParseCheckpoint(image, matcher);
+  CheckpointImage image = *image_;
+  image.manifest[0] ^= 0x5a;
+  auto result = LoadImage(image, CheckpointDir("serve_bad_magic"), matcher);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("magic"), std::string::npos);
+
+  // A shard file with a wrong magic but consistent checksums gets past the
+  // manifest's address check to the magic check.
+  image = *image_;
+  image.shard[0] ^= 0x5a;
+  Reframe(&image);
+  result = LoadImage(image, CheckpointDir("serve_bad_magic"), matcher);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("magic"), std::string::npos);
 }
 
 TEST_F(CheckpointCorruptionTest, TruncationAtAnyPrefixFailsCleanly) {
-  JaccardMatcher matcher;
-  // Dense sampling through the header, sparse through the body, and the
-  // always-interesting last bytes.
-  std::vector<size_t> lengths;
-  for (size_t k = 0; k < 64 && k < image_->size(); ++k) lengths.push_back(k);
-  for (size_t k = 64; k < image_->size(); k += image_->size() / 37 + 1) {
-    lengths.push_back(k);
-  }
-  lengths.push_back(image_->size() - 1);
-  for (size_t len : lengths) {
-    auto result = ParseCheckpoint(image_->substr(0, len), matcher);
-    EXPECT_FALSE(result.ok()) << "prefix length " << len;
-  }
+  ExpectEveryTruncationFails(*image_, CheckpointDir("serve_truncation"));
 }
 
 TEST_F(CheckpointCorruptionTest, FutureVersionRejected) {
   JaccardMatcher matcher;
-  std::string image = *image_;
-  // Version lives at offset 8 (after the 8-byte magic), little-endian.
-  image[8] = static_cast<char>(kCheckpointVersion + 1);
-  image[9] = image[10] = image[11] = 0;
-  auto result = ParseCheckpoint(image, matcher);
+  // Version lives at offset 8 (after the 8-byte magic), little-endian, in
+  // the manifest and the shard file alike; the checksums are recomputed so
+  // only the version is wrong.
+  CheckpointImage image = *image_;
+  image.manifest[8] = static_cast<char>(kShardedCheckpointVersion + 1);
+  image.manifest = WithFixedChecksum(image.manifest);
+  auto result = LoadImage(image, CheckpointDir("serve_future"), matcher);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("newer"), std::string::npos);
+
+  image = *image_;
+  image.shard[8] = static_cast<char>(kShardedCheckpointVersion + 1);
+  Reframe(&image);
+  result = LoadImage(image, CheckpointDir("serve_future"), matcher);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("newer"), std::string::npos);
@@ -462,7 +635,8 @@ TEST_F(CheckpointCorruptionTest, FingerprintMismatchRejected) {
   // The matcher changed between save and load: the cached scores are not
   // its scores, so the checkpoint must be refused, not silently trusted.
   JaccardMatcher retrained(1.4);
-  auto result = ParseCheckpoint(*image_, retrained);
+  auto result =
+      LoadImage(*image_, CheckpointDir("serve_fingerprint"), retrained);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("fingerprint"), std::string::npos);
@@ -471,20 +645,40 @@ TEST_F(CheckpointCorruptionTest, FingerprintMismatchRejected) {
 TEST_F(CheckpointCorruptionTest, BodyBitFlipCaughtByChecksum) {
   JaccardMatcher matcher;
   for (double frac : {0.3, 0.6, 0.9}) {
-    std::string image = *image_;
-    const size_t pos = 64 + static_cast<size_t>(
-                                static_cast<double>(image.size() - 72) * frac);
-    image[pos] ^= 0x01;
-    auto result = ParseCheckpoint(image, matcher);
-    ASSERT_FALSE(result.ok()) << "flip at " << pos;
+    CheckpointImage image = *image_;
+    const size_t pos = 24 + static_cast<size_t>(
+                                static_cast<double>(image.shard.size() - 32) *
+                                frac);
+    image.shard[pos] ^= 0x01;
+    auto result = LoadImage(image, CheckpointDir("serve_flip"), matcher);
+    ASSERT_FALSE(result.ok()) << "shard flip at " << pos;
+    EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+    EXPECT_NE(result.status().message().find("does not match the manifest"),
+              std::string::npos);
   }
+  // The manifest body (coordinator state) sits between the checksum list
+  // and the trailer.
+  CheckpointImage image = *image_;
+  image.manifest[image.manifest.size() - 24] ^= 0x01;
+  auto result = LoadImage(image, CheckpointDir("serve_flip"), matcher);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+  EXPECT_NE(result.status().message().find("checksum"), std::string::npos);
 }
 
 TEST_F(CheckpointCorruptionTest, TrailingGarbageRejected) {
   // Appending bytes shifts the checksum-covered region, so the whole-image
-  // checksum catches it.
+  // checksum (manifest) or the recorded address (shard file) catches it.
   JaccardMatcher matcher;
-  auto result = ParseCheckpoint(*image_ + "extra", matcher);
+  CheckpointImage image = *image_;
+  image.manifest += "extra";
+  auto result = LoadImage(image, CheckpointDir("serve_garbage"), matcher);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+
+  image = *image_;
+  image.shard += "extra";
+  result = LoadImage(image, CheckpointDir("serve_garbage"), matcher);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }
@@ -492,12 +686,12 @@ TEST_F(CheckpointCorruptionTest, TrailingGarbageRejected) {
 TEST_F(CheckpointCorruptionTest, HeaderFingerprintBitFlipIsCorruptionNotMismatch) {
   // A damaged fingerprint byte must be diagnosed as file corruption — not
   // as "the matcher changed", which would send the operator hunting for a
-  // model that never existed. The fingerprint string starts at offset 20
-  // (magic 8 + version 4 + u64 length prefix).
+  // model that never existed. The manifest's fingerprint string starts at
+  // offset 20 (magic 8 + version 4 + u64 length prefix).
   JaccardMatcher matcher;
-  std::string image = *image_;
-  image[20] ^= 0x01;
-  auto result = ParseCheckpoint(image, matcher);
+  CheckpointImage image = *image_;
+  image.manifest[20] ^= 0x01;
+  auto result = LoadImage(image, CheckpointDir("serve_fp_flip"), matcher);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
   EXPECT_NE(result.status().message().find("checksum"), std::string::npos);
@@ -505,14 +699,14 @@ TEST_F(CheckpointCorruptionTest, HeaderFingerprintBitFlipIsCorruptionNotMismatch
 
 TEST_F(CheckpointCorruptionTest, MissingFileFailsCleanly) {
   JaccardMatcher matcher;
-  auto result = LoadCheckpoint("/nonexistent/dir/pipeline.ckpt", matcher);
+  auto result = LoadShardedCheckpoint("/nonexistent/dir/checkpoint", matcher);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }
 
 // ---------------------------------------------------------------------------
 // Tombstone sections (format v2): corruption within the tombstone bytes must
-// fail as a clean Status, and pre-tombstone (version 1) images must keep
+// fail as a clean Status, and pre-tombstone (version 1) checkpoints must keep
 // loading — a tombstone-free pipeline emits the version 1 layout
 // byte-for-byte, so the fixture of the suite above doubles as genuine v1
 // coverage; this suite pins the v2 side.
@@ -520,28 +714,30 @@ TEST_F(CheckpointCorruptionTest, MissingFileFailsCleanly) {
 
 class TombstoneCheckpointCorruptionTest : public ::testing::Test {
  protected:
-  // The removal set {11, 22, 33} makes the serialized tombstone section
-  // start with a 16-byte sequence (u64 count 3, i32 ids 11, 22, 33) the
-  // fixture asserts is unique in the image, so tests can corrupt tombstone
+  // The removal set {11, 22, 33} makes the shard file's tombstone section
+  // start with a 20-byte sequence (u64 count 3, i32 ids 11, 22, 33) the
+  // fixture asserts is unique in the file, so tests can corrupt tombstone
   // bytes specifically.
   static constexpr size_t kTombstonePatternLength = 20;
 
   static void SetUpTestSuite() {
     const std::vector<Record> records = FinancialRecords(40);
     JaccardMatcher matcher;
-    IncrementalPipeline pipeline(ServeConfig(1));
+    ShardedPipeline pipeline(ServeConfig(1));
     IngestAll(&pipeline, records, 0, records.size(), 3, matcher);
     pipeline.Remove({11, 22, 33}, matcher).ValueOrDie();
-    image_ = new std::string(SerializeCheckpoint(pipeline).ValueOrDie());
+    image_ = new CheckpointImage(
+        SaveImage(pipeline, CheckpointDir("serve_tombstone_fixture")));
 
     BinaryWriter pattern;
     pattern.WriteU64(3);
     pattern.WriteI32(11);
     pattern.WriteI32(22);
     pattern.WriteI32(33);
-    const size_t first = image_->find(pattern.buffer());
+    const size_t first = image_->shard.find(pattern.buffer());
     ASSERT_NE(first, std::string::npos);
-    ASSERT_EQ(image_->find(pattern.buffer(), first + 1), std::string::npos)
+    ASSERT_EQ(image_->shard.find(pattern.buffer(), first + 1),
+              std::string::npos)
         << "tombstone byte pattern is not unique; pick different ids";
     tombstone_offset_ = first;
   }
@@ -550,60 +746,41 @@ class TombstoneCheckpointCorruptionTest : public ::testing::Test {
     image_ = nullptr;
   }
 
-  /// Recompute the trailing whole-image checksum after a deliberate patch,
-  /// so the corruption reaches the structural validators instead of being
-  /// masked by the checksum check.
-  static std::string WithFixedChecksum(std::string image) {
-    image.resize(image.size() - 8);
-    BinaryWriter fixed;
-    fixed.WriteBytes(image.data(), image.size());
-    fixed.WriteU64(Fnv1a64(std::string_view(image)));
-    return fixed.buffer();
-  }
-
-  static std::string* image_;
+  static CheckpointImage* image_;
   static size_t tombstone_offset_;
 };
 
-std::string* TombstoneCheckpointCorruptionTest::image_ = nullptr;
+CheckpointImage* TombstoneCheckpointCorruptionTest::image_ = nullptr;
 size_t TombstoneCheckpointCorruptionTest::tombstone_offset_ = 0;
 
 TEST_F(TombstoneCheckpointCorruptionTest, TombstonedImagesStampVersionTwo) {
-  EXPECT_EQ(static_cast<uint32_t>(static_cast<uint8_t>((*image_)[8])),
-            kCheckpointVersion);
+  EXPECT_EQ(static_cast<uint32_t>(static_cast<uint8_t>(image_->manifest[8])),
+            kShardedCheckpointVersion);
+  EXPECT_EQ(static_cast<uint32_t>(static_cast<uint8_t>(image_->shard[8])),
+            kShardedCheckpointVersion);
   JaccardMatcher matcher;
-  auto restored = ParseCheckpoint(*image_, matcher).ValueOrDie();
+  auto restored =
+      LoadImage(*image_, CheckpointDir("serve_tomb_v2"), matcher).ValueOrDie();
   EXPECT_EQ(restored->num_dead(), 3u);
   EXPECT_FALSE(restored->is_alive(11));
   EXPECT_FALSE(restored->is_alive(22));
   EXPECT_FALSE(restored->is_alive(33));
-  EXPECT_EQ(SerializeCheckpoint(*restored).ValueOrDie(), *image_);
+  EXPECT_TRUE(SaveImage(*restored, CheckpointDir("serve_tomb_v2_resave")) ==
+              *image_);
 }
 
 TEST_F(TombstoneCheckpointCorruptionTest, TruncationAtAnyPrefixFailsCleanly) {
-  JaccardMatcher matcher;
-  std::vector<size_t> lengths;
-  for (size_t k = 0; k < 64 && k < image_->size(); ++k) lengths.push_back(k);
-  for (size_t k = 64; k < image_->size(); k += image_->size() / 37 + 1) {
-    lengths.push_back(k);
-  }
-  // Cuts inside the tombstone section itself.
-  for (size_t k = 0; k <= kTombstonePatternLength; k += 3) {
-    lengths.push_back(tombstone_offset_ + k);
-  }
-  lengths.push_back(image_->size() - 1);
-  for (size_t len : lengths) {
-    auto result = ParseCheckpoint(image_->substr(0, len), matcher);
-    EXPECT_FALSE(result.ok()) << "prefix length " << len;
-  }
+  // Every prefix includes every cut inside the tombstone section.
+  ASSERT_GT(image_->shard.size(), tombstone_offset_ + kTombstonePatternLength);
+  ExpectEveryTruncationFails(*image_, CheckpointDir("serve_tomb_truncation"));
 }
 
 TEST_F(TombstoneCheckpointCorruptionTest, TombstoneBitFlipCaughtByChecksum) {
   JaccardMatcher matcher;
   for (size_t k = 0; k < kTombstonePatternLength; k += 2) {
-    std::string image = *image_;
-    image[tombstone_offset_ + k] ^= 0x01;
-    auto result = ParseCheckpoint(image, matcher);
+    CheckpointImage image = *image_;
+    image.shard[tombstone_offset_ + k] ^= 0x01;
+    auto result = LoadImage(image, CheckpointDir("serve_tomb_flip"), matcher);
     ASSERT_FALSE(result.ok()) << "flip at tombstone byte " << k;
     EXPECT_EQ(result.status().code(), StatusCode::kIoError);
   }
@@ -611,44 +788,53 @@ TEST_F(TombstoneCheckpointCorruptionTest, TombstoneBitFlipCaughtByChecksum) {
 
 TEST_F(TombstoneCheckpointCorruptionTest,
        StructurallyInvalidTombstonesRejectedPastTheChecksum) {
-  // With the checksum recomputed, the patch must be caught by the tombstone
-  // section's own validation: ids strictly ascending and in range.
+  // With every checksum repaired, the patch must be caught by the tombstone
+  // section's own validation: ids strictly ascending and stored by the
+  // shard.
   JaccardMatcher matcher;
 
-  std::string reordered = *image_;
-  reordered[tombstone_offset_ + 12] = 11;  // second id 22 -> 11 (duplicate)
-  auto result = ParseCheckpoint(WithFixedChecksum(reordered), matcher);
+  CheckpointImage reordered = *image_;
+  reordered.shard[tombstone_offset_ + 12] = 11;  // second id 22 -> 11
+  Reframe(&reordered);
+  auto result =
+      LoadImage(reordered, CheckpointDir("serve_tomb_structure"), matcher);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
   EXPECT_NE(result.status().message().find("ascending"), std::string::npos);
 
-  std::string out_of_range = *image_;
-  out_of_range[tombstone_offset_ + 16] = 0x7f;  // third id 33 -> huge
-  out_of_range[tombstone_offset_ + 17] = 0x7f;
-  result = ParseCheckpoint(WithFixedChecksum(out_of_range), matcher);
+  CheckpointImage out_of_range = *image_;
+  out_of_range.shard[tombstone_offset_ + 16] = 0x7f;  // third id 33 -> huge
+  out_of_range.shard[tombstone_offset_ + 17] = 0x7f;
+  Reframe(&out_of_range);
+  result =
+      LoadImage(out_of_range, CheckpointDir("serve_tomb_structure"), matcher);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }
 
 TEST_F(TombstoneCheckpointCorruptionTest,
        PreTombstoneCheckpointsStillLoadAndRoundTrip) {
-  // A tombstone-free pipeline serializes the version 1 layout byte for
-  // byte — exactly what a pre-tombstone writer produced — and a v1 image
+  // A tombstone-free pipeline writes the version 1 layout byte for byte —
+  // exactly what a pre-tombstone writer produced — and a v1 checkpoint
   // must load, round-trip, and accept removals (restamping v2) afterwards.
   const std::vector<Record> records = FinancialRecords(40);
   JaccardMatcher matcher;
-  IncrementalPipeline pipeline(ServeConfig(1));
+  ShardedPipeline pipeline(ServeConfig(1));
   IngestAll(&pipeline, records, 0, records.size(), 3, matcher);
-  const std::string v1_image = SerializeCheckpoint(pipeline).ValueOrDie();
-  EXPECT_EQ(static_cast<uint32_t>(static_cast<uint8_t>(v1_image[8])), 1u);
+  const CheckpointImage v1 = SaveImage(pipeline, CheckpointDir("serve_v1"));
+  EXPECT_EQ(static_cast<uint32_t>(static_cast<uint8_t>(v1.manifest[8])), 1u);
+  EXPECT_EQ(static_cast<uint32_t>(static_cast<uint8_t>(v1.shard[8])), 1u);
 
-  auto restored = ParseCheckpoint(v1_image, matcher).ValueOrDie();
+  auto restored = LoadImage(v1, CheckpointDir("serve_v1_load"), matcher)
+                      .ValueOrDie();
   EXPECT_EQ(restored->num_dead(), 0u);
-  EXPECT_EQ(SerializeCheckpoint(*restored).ValueOrDie(), v1_image);
+  EXPECT_TRUE(SaveImage(*restored, CheckpointDir("serve_v1_resave")) == v1);
 
   ASSERT_TRUE(restored->Remove({0}, matcher).ok());
-  const std::string v2_image = SerializeCheckpoint(*restored).ValueOrDie();
-  EXPECT_EQ(static_cast<uint32_t>(static_cast<uint8_t>(v2_image[8])), 2u);
+  const CheckpointImage v2 =
+      SaveImage(*restored, CheckpointDir("serve_v1_upgraded"));
+  EXPECT_EQ(static_cast<uint32_t>(static_cast<uint8_t>(v2.manifest[8])), 2u);
+  EXPECT_EQ(static_cast<uint32_t>(static_cast<uint8_t>(v2.shard[8])), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -668,7 +854,7 @@ TEST(MatchServiceTest, EmptyServiceServesEpochZero) {
 TEST(MatchServiceTest, PublishedSnapshotAnswersQueriesConsistently) {
   const std::vector<Record> records = FinancialRecords(40);
   JaccardMatcher matcher;
-  IncrementalPipeline pipeline(ServeConfig(1));
+  ShardedPipeline pipeline(ServeConfig(1));
   IngestAll(&pipeline, records, 0, records.size(), 2, matcher);
   const PipelineResult result = pipeline.Snapshot().ValueOrDie();
 
@@ -708,7 +894,7 @@ TEST(MatchServiceTest, PublishedSnapshotAnswersQueriesConsistently) {
 TEST(MatchServiceTest, HeldViewsAreImmutableAcrossPublishes) {
   const std::vector<Record> records = FinancialRecords(40);
   JaccardMatcher matcher;
-  IncrementalPipeline pipeline(ServeConfig(1));
+  ShardedPipeline pipeline(ServeConfig(1));
 
   MatchService service;
   IngestAll(&pipeline, records, 0, records.size() / 2, 1, matcher);
@@ -775,7 +961,7 @@ TEST(MatchServiceTest, ConcurrentReadersAlwaysSeeOneConsistentEpoch) {
   }
 
   JaccardMatcher matcher;
-  IncrementalPipeline pipeline(ServeConfig(2));
+  ShardedPipeline pipeline(ServeConfig(2));
   uint64_t published = 0;
   for (size_t offset = 0; offset < records.size(); offset += batch_size) {
     const size_t stop = std::min(offset + batch_size, records.size());

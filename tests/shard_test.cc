@@ -1,9 +1,9 @@
 // Differential test suite for the sharded matching subsystem. The headline
 // contract: ShardedPipeline::Snapshot() at any shard count S and any thread
 // count is identical — predicted pairs, pre-cleanup components, groups, and
-// all cleanup counters — to the S=1 result, to IncrementalPipeline on the
-// same ingest sequence, and to a from-scratch EntityGroupPipeline::Run on
-// the union of all batches, on both the financial-securities and
+// all cleanup counters — to the S=1 result on the same ingest sequence
+// (ingest reports included) and to a from-scratch EntityGroupPipeline::Run
+// on the union of all batches, on both the financial-securities and
 // WDC-products fixtures. The suite also pins the router's determinism, the
 // once-per-fingerprint scoring guarantee across shards, the poisoned
 // fail-fast, and the sharded manifest checkpoint: Save -> Load -> Snapshot
@@ -32,7 +32,6 @@
 #include "serve/sharded_checkpoint.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_pipeline.h"
-#include "stream/incremental_pipeline.h"
 #include "text/normalize.h"
 
 namespace gralmatch {
@@ -238,8 +237,8 @@ void ExpectBitwiseIdentical(const PipelineResult& a, const PipelineResult& b,
   EXPECT_EQ(a.inference_seconds, b.inference_seconds) << context;
 }
 
-/// Reports must match field-for-field between the sharded pipeline and the
-/// single incremental pipeline (wall-clock excluded).
+/// Reports must match field-for-field between shard counts (wall-clock
+/// excluded).
 void ExpectSameReport(const IngestReport& sharded, const IngestReport& mono,
                       const std::string& context) {
   EXPECT_EQ(sharded.records_added, mono.records_added) << context;
@@ -257,17 +256,20 @@ std::vector<size_t> EqualBatches(size_t n, size_t k) {
   return sizes;
 }
 
-/// Drive a ShardedPipeline and an IncrementalPipeline through the same
-/// schedule, checking report equality on every ingest and snapshot
-/// equivalence (against each other and the batch reference) at every
-/// `check_every`-th batch and the last.
+/// Drive a ShardedPipeline at `config.num_shards` and one at S=1 through the
+/// same schedule, checking report equality on every ingest and snapshot
+/// equivalence (S=k == S=1 == batch reference) at every `check_every`-th
+/// batch and the last. At S=1 the two runs coincide and the batch reference
+/// carries the check.
 void RunDifferentialSchedule(const std::vector<Record>& records,
                              const std::vector<size_t>& batch_sizes,
                              const ShardedPipelineConfig& config,
                              const PairwiseMatcher& matcher,
                              size_t check_every = 1) {
   ShardedPipeline sharded(config);
-  IncrementalPipeline mono(config.base);
+  ShardedPipelineConfig mono_config = config;
+  mono_config.num_shards = 1;
+  ShardedPipeline mono(mono_config);
   size_t offset = 0;
   for (size_t b = 0; b < batch_sizes.size(); ++b) {
     const size_t size = batch_sizes[b];
@@ -290,7 +292,7 @@ void RunDifferentialSchedule(const std::vector<Record>& records,
     if (!last && (b + 1) % check_every != 0) continue;
     const PipelineResult snapshot = sharded.Snapshot().ValueOrDie();
     ExpectEquivalent(snapshot, mono.Snapshot().ValueOrDie(),
-                     context + " vs incremental");
+                     context + " vs S=1");
     ExpectEquivalent(snapshot,
                      RunBatchReference(sharded.records(), config.base, matcher),
                      context + " vs batch reference");

@@ -1,8 +1,9 @@
-// Differential test suite for the incremental matching subsystem: after any
-// sequence of Ingest() calls, IncrementalPipeline::Snapshot() must be
-// identical — predicted pairs, pre-cleanup components, groups, and all
-// cleanup counters — to a from-scratch EntityGroupPipeline::Run on the union
-// of all batches with the same blockers and matcher, at any thread count.
+// Differential test suite for incremental ingestion at one shard (S=1, the
+// unsharded case of ShardedPipeline): after any sequence of Ingest() calls,
+// Snapshot() must be identical — predicted pairs, pre-cleanup components,
+// groups, and all cleanup counters — to a from-scratch
+// EntityGroupPipeline::Run on the union of all batches with the same
+// blockers and matcher, at any thread count.
 // Schedules cover: one batch (== full run), K equal batches, singleton
 // batches, random split points, and source-interleaved arrival order, on
 // both the financial-securities and WDC-products fixtures. The suite also
@@ -27,7 +28,7 @@
 #include "core/pipeline.h"
 #include "datagen/financial_gen.h"
 #include "datagen/wdc_gen.h"
-#include "stream/incremental_pipeline.h"
+#include "shard/sharded_pipeline.h"
 #include "text/normalize.h"
 
 namespace gralmatch {
@@ -187,9 +188,9 @@ void ExpectEquivalent(const PipelineResult& incremental,
 /// from-scratch reference.
 void RunSchedule(const std::vector<Record>& records,
                  const std::vector<size_t>& batch_sizes,
-                 const IncrementalPipelineConfig& config,
+                 const ShardedPipelineConfig& config,
                  const PairwiseMatcher& matcher, size_t check_every = 1) {
-  IncrementalPipeline pipeline(config);
+  ShardedPipeline pipeline(config);
   size_t offset = 0;
   for (size_t b = 0; b < batch_sizes.size(); ++b) {
     const size_t size = batch_sizes[b];
@@ -201,14 +202,13 @@ void RunSchedule(const std::vector<Record>& records,
     offset += size;
     const bool last = b + 1 == batch_sizes.size();
     if (!last && (b + 1) % check_every != 0) continue;
-    const std::string context = "after batch " + std::to_string(b + 1) + "/" +
-                                std::to_string(batch_sizes.size()) +
-                                " (threads=" +
-                                std::to_string(config.pipeline.num_threads) +
-                                ")";
-    ExpectEquivalent(pipeline.Snapshot().ValueOrDie(),
-                     RunBatchReference(pipeline.records(), config, matcher),
-                     context);
+    const std::string context =
+        "after batch " + std::to_string(b + 1) + "/" +
+        std::to_string(batch_sizes.size()) + " (threads=" +
+        std::to_string(config.base.pipeline.num_threads) + ")";
+    ExpectEquivalent(
+        pipeline.Snapshot().ValueOrDie(),
+        RunBatchReference(pipeline.records(), config.base, matcher), context);
   }
   ASSERT_EQ(offset, records.size());
 }
@@ -219,19 +219,19 @@ std::vector<size_t> EqualBatches(size_t n, size_t k) {
   return sizes;
 }
 
-/// Pipeline configuration tightened so every cleanup phase actually fires
-/// on these fixture sizes (pre-cleanup edge removal, min-cut splits and
-/// betweenness trims all have nonzero counters — verified by the counter
-/// comparison in ExpectEquivalent being non-vacuous).
-IncrementalPipelineConfig StreamConfig(size_t num_threads,
-                                       double match_threshold) {
-  IncrementalPipelineConfig config;
-  config.pipeline.cleanup.gamma = 6;
-  config.pipeline.cleanup.mu = 3;
-  config.pipeline.pre_cleanup_threshold = 9;
-  config.pipeline.match_threshold = match_threshold;
-  config.pipeline.num_threads = num_threads;
-  config.token.top_n = 5;
+/// One-shard pipeline configuration, tightened so every cleanup phase
+/// actually fires on these fixture sizes (pre-cleanup edge removal, min-cut
+/// splits and betweenness trims all have nonzero counters — verified by the
+/// counter comparison in ExpectEquivalent being non-vacuous).
+ShardedPipelineConfig StreamConfig(size_t num_threads,
+                                   double match_threshold) {
+  ShardedPipelineConfig config;
+  config.base.pipeline.cleanup.gamma = 6;
+  config.base.pipeline.cleanup.mu = 3;
+  config.base.pipeline.pre_cleanup_threshold = 9;
+  config.base.pipeline.match_threshold = match_threshold;
+  config.base.pipeline.num_threads = num_threads;
+  config.base.token.top_n = 5;
   return config;
 }
 
@@ -333,8 +333,8 @@ TEST_F(FinancialStream, InterleavedSourceArrivalEquivalent) {
 TEST_F(FinancialStream, ScoreCachePreventsMatcherReinvocation) {
   JaccardMatcher inner;
   CountingMatcher counting(&inner);
-  IncrementalPipelineConfig config = StreamConfig(4, 0.25);
-  IncrementalPipeline pipeline(config);
+  ShardedPipelineConfig config = StreamConfig(4, 0.25);
+  ShardedPipeline pipeline(config);
   const std::vector<size_t> sizes = EqualBatches(records_->size(), 8);
   size_t offset = 0;
   for (size_t size : sizes) {
@@ -418,15 +418,15 @@ TEST_F(FinancialStream, BatchedScoringEquivalentAcrossThreadsAndBatchSizes) {
   // several batch sizes; every snapshot must equal the per-pair reference
   // (plain JaccardMatcher, score_batch_size=1, serial).
   JaccardMatcher inner;
-  IncrementalPipelineConfig reference_config = StreamConfig(1, 0.25);
-  reference_config.pipeline.score_batch_size = 1;
+  ShardedPipelineConfig reference_config = StreamConfig(1, 0.25);
+  reference_config.base.pipeline.score_batch_size = 1;
 
   for (size_t threads : {1u, 2u, 8u}) {
     for (size_t batch_size : {1u, 7u, 64u}) {
       BatchingJaccardMatcher batching(&inner);
-      IncrementalPipelineConfig config = StreamConfig(threads, 0.25);
-      config.pipeline.score_batch_size = batch_size;
-      IncrementalPipeline pipeline(config);
+      ShardedPipelineConfig config = StreamConfig(threads, 0.25);
+      config.base.pipeline.score_batch_size = batch_size;
+      ShardedPipeline pipeline(config);
       size_t offset = 0;
       for (size_t size : EqualBatches(records_->size(), 4)) {
         std::vector<Record> batch(
@@ -439,7 +439,7 @@ TEST_F(FinancialStream, BatchedScoringEquivalentAcrossThreadsAndBatchSizes) {
                                   " batch_size=" + std::to_string(batch_size);
       ExpectEquivalent(
           pipeline.Snapshot().ValueOrDie(),
-          RunBatchReference(pipeline.records(), reference_config, inner),
+          RunBatchReference(pipeline.records(), reference_config.base, inner),
           context);
       // All scoring went through the ScoreBatch override, and no batch
       // exceeded the configured size.
@@ -457,9 +457,9 @@ TEST_F(FinancialStream, ScoreBatchCallAccountingReflectsChunking) {
   // scoring wave — pinned here via the total over a known schedule.
   JaccardMatcher inner;
   BatchingJaccardMatcher batching(&inner);
-  IncrementalPipelineConfig config = StreamConfig(1, 0.25);
-  config.pipeline.score_batch_size = 16;
-  IncrementalPipeline pipeline(config);
+  ShardedPipelineConfig config = StreamConfig(1, 0.25);
+  config.base.pipeline.score_batch_size = 16;
+  ShardedPipeline pipeline(config);
   size_t expected_calls = 0;
   size_t offset = 0;
   for (size_t size : EqualBatches(records_->size(), 5)) {
@@ -482,8 +482,8 @@ TEST_F(FinancialStream, FingerprintChangeInvalidatesCacheAndStaysEquivalent) {
   JaccardMatcher matcher_v2(1.4);
   ASSERT_NE(matcher_v1.Fingerprint(), matcher_v2.Fingerprint());
 
-  IncrementalPipelineConfig config = StreamConfig(2, 0.25);
-  IncrementalPipeline pipeline(config);
+  ShardedPipelineConfig config = StreamConfig(2, 0.25);
+  ShardedPipeline pipeline(config);
   const size_t half = records_->size() / 2;
   std::vector<Record> first(records_->begin(),
                             records_->begin() + static_cast<long>(half));
@@ -499,20 +499,22 @@ TEST_F(FinancialStream, FingerprintChangeInvalidatesCacheAndStaysEquivalent) {
   IngestReport swap = pipeline.Ingest({}, matcher_v2).ValueOrDie();
   EXPECT_EQ(swap.records_added, 0u);
   EXPECT_GT(swap.pairs_scored, 0u);
-  ExpectEquivalent(pipeline.Snapshot().ValueOrDie(),
-                   RunBatchReference(pipeline.records(), config, matcher_v2),
-                   "after matcher swap");
+  ExpectEquivalent(
+      pipeline.Snapshot().ValueOrDie(),
+      RunBatchReference(pipeline.records(), config.base, matcher_v2),
+      "after matcher swap");
 
   ASSERT_TRUE(pipeline.Ingest(second, matcher_v2).ok());
-  ExpectEquivalent(pipeline.Snapshot().ValueOrDie(),
-                   RunBatchReference(pipeline.records(), config, matcher_v2),
-                   "after matcher swap + second half");
+  ExpectEquivalent(
+      pipeline.Snapshot().ValueOrDie(),
+      RunBatchReference(pipeline.records(), config.base, matcher_v2),
+      "after matcher swap + second half");
 }
 
 TEST_F(FinancialStream, EmptyBatchIsANoOp) {
   JaccardMatcher matcher;
-  IncrementalPipelineConfig config = StreamConfig(1, 0.25);
-  IncrementalPipeline pipeline(config);
+  ShardedPipelineConfig config = StreamConfig(1, 0.25);
+  ShardedPipeline pipeline(config);
   ASSERT_TRUE(pipeline.Ingest(*records_, matcher).ok());
   PipelineResult before = pipeline.Snapshot().ValueOrDie();
   const size_t calls = pipeline.total_matcher_calls();
@@ -529,8 +531,8 @@ TEST_F(FinancialStream, EmptyBatchIsANoOp) {
 
 TEST_F(FinancialStream, ReportsObserveIncrementalScoping) {
   JaccardMatcher matcher;
-  IncrementalPipelineConfig config = StreamConfig(1, 0.25);
-  IncrementalPipeline pipeline(config);
+  ShardedPipelineConfig config = StreamConfig(1, 0.25);
+  ShardedPipeline pipeline(config);
   const std::vector<size_t> sizes = EqualBatches(records_->size(), 6);
   size_t offset = 0;
   size_t reused_total = 0;
@@ -594,7 +596,7 @@ TEST(WdcStream, ScoreCacheOnProductsNeverRescores) {
   std::vector<Record> records = WithUids(products.records);
   JaccardMatcher inner;
   CountingMatcher counting(&inner);
-  IncrementalPipeline pipeline(StreamConfig(2, 0.35));
+  ShardedPipeline pipeline(StreamConfig(2, 0.35));
   size_t offset = 0;
   for (size_t size : EqualBatches(records.size(), 7)) {
     std::vector<Record> batch(records.begin() + static_cast<long>(offset),
@@ -637,7 +639,7 @@ class ThrowingMatcher : public PairwiseMatcher {
 };
 
 TEST_F(FinancialStream, ThrowingMatcherPoisonsThePipeline) {
-  IncrementalPipeline pipeline(StreamConfig(2, 0.25));
+  ShardedPipeline pipeline(StreamConfig(2, 0.25));
   const size_t half = records_->size() / 2;
   std::vector<Record> first(records_->begin(),
                             records_->begin() + static_cast<long>(half));
@@ -669,13 +671,13 @@ TEST_F(FinancialStream, ThrowingMatcherPoisonsThePipeline) {
   ASSERT_FALSE(snapshot.ok());
   EXPECT_NE(snapshot.status().message().find("poisoned"), std::string::npos);
   BinaryWriter writer;
-  Status serialized = pipeline.Serialize(&writer);
+  Status serialized = pipeline.SerializeManifestBody(&writer);
   ASSERT_FALSE(serialized.ok());
   EXPECT_NE(serialized.message().find("poisoned"), std::string::npos);
 }
 
 TEST_F(FinancialStream, MatcherThrowOnFirstIngestAlsoPoisons) {
-  IncrementalPipeline pipeline(StreamConfig(1, 0.25));
+  ShardedPipeline pipeline(StreamConfig(1, 0.25));
   ThrowingMatcher matcher;
   matcher.ArmAfter(/*calls=*/0);
   Result<IngestReport> aborted = pipeline.Ingest(*records_, matcher);

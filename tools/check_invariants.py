@@ -11,7 +11,7 @@ beyond python3. Exit status: 0 clean, 1 findings, 2 usage error.
 Rules (each finding is printed as `file:line: [rule] message`):
 
   framed-bytes     Wire/checkpoint byte access in the framed modules
-                   (serve, net, shard, stream) goes through BinaryReader /
+                   (serve, net, shard) goes through BinaryReader /
                    BinaryWriter / serve/framing.h helpers — no raw memcpy
                    or reinterpret_cast on framed bytes. Socket-ABI sockaddr
                    casts are exempt (they are kernel ABI, not framed
@@ -47,8 +47,8 @@ Rules (each finding is printed as `file:line: [rule] message`):
                    transitive closure of the including module's declared
                    dependencies is an undeclared (or upward) edge.
 
-  obs-inertness    The files that define serialized bytes
-                   (serve/checkpoint.*, serve/framing.*, net/wire.*) never
+  obs-inertness    The files that define framed bytes (serve/framing.*,
+                   net/wire.*) never
                    reference the obs module: instrumentation is promised
                    inert (docs/observability.md), and code that cannot
                    name a MetricsRegistry cannot leak one into checkpoint
@@ -77,7 +77,7 @@ except ImportError:  # invoked as tools/check_invariants.py from repo root
 
 #: Modules whose on-disk/on-wire formats are framed (magic/version/length/
 #: checksum); raw byte reinterpretation is banned here.
-FRAMED_MODULES = ("serve", "net", "shard", "stream")
+FRAMED_MODULES = ("serve", "net", "shard")
 
 #: The one file allowed to build ".tmp" staging names, and the one file
 #: allowed to recognize them (stale-staging GC) — with the reason on record.
@@ -104,11 +104,9 @@ MODULE_DEPS = {
     "eval": ("data", "graph"),
     "matching": ("blocking", "data", "nn", "text"),
     "core": ("blocking", "data", "exec", "graph", "matching", "obs"),
-    "stream": ("blocking", "common", "core", "data", "exec", "graph",
-               "matching", "obs"),
     "shard": ("blocking", "common", "core", "data", "exec", "graph",
-              "matching", "obs", "stream"),
-    "serve": ("common", "core", "data", "matching", "obs", "shard", "stream"),
+              "matching", "obs"),
+    "serve": ("common", "core", "data", "matching", "obs", "shard"),
     "net": ("common", "exec", "obs", "serve"),
 }
 
@@ -117,10 +115,9 @@ MODULE_DEPS = {
 #: is inert (never in checkpoint or wire bytes), and the cheapest proof is
 #: that the code producing those bytes cannot even name the obs module.
 #: Timing for these paths lives at call sites (e.g. the sharded-checkpoint
-#: helpers, examples/serve_loop.cpp).
+#: helpers SaveShardedCheckpoint/LoadShardedCheckpoint, and NetServer around
+#: its frame decode/encode).
 OBS_FREE_FILES = {
-    "src/serve/checkpoint.h": "single-file checkpoint bytes",
-    "src/serve/checkpoint.cc": "single-file checkpoint bytes",
     "src/serve/framing.h": "shared frame discipline (magic/version/checksum)",
     "src/serve/framing.cc": "shared frame discipline (magic/version/checksum)",
     "src/net/wire.h": "RPC frame encode/decode",

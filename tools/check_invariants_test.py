@@ -71,7 +71,8 @@ class FixtureTreeTest(unittest.TestCase):
               "}\n")
 
         # tmp-staging: a naked staging literal on line 1 (and none in the
-        # allowlisted framing.cc, which the fixture does not even need).
+        # allowlisted framing.cc, whose fixture copy below seeds only the
+        # obs-inertness findings).
         write(root, "src/core/bad_tmp.cc",
               'const char* kStaging = "out.grlm.tmp";\n')
 
@@ -88,10 +89,10 @@ class FixtureTreeTest(unittest.TestCase):
               "gralmatch_add_test(core_test gralmatch::core)\n"
               "gralmatch_add_test(exec_test gralmatch::exec)\n")
 
-        # obs-inertness: the checkpoint serializer naming the metrics layer
+        # obs-inertness: the frame helpers naming the metrics layer
         # (include on line 1, symbol use on line 3); a comment mention on
         # line 2 that must NOT be flagged.
-        write(root, "src/serve/checkpoint.cc",
+        write(root, "src/serve/framing.cc",
               '#include "obs/metrics.h"\n'
               "// a MetricsRegistry mention in prose is fine\n"
               "void t(gralmatch::obs::MetricsRegistry* m) { (void)m; }\n")
@@ -158,14 +159,14 @@ class FixtureTreeTest(unittest.TestCase):
         self.assert_finding("src/common/bad_dag.h:1", "module-dag")
 
     def test_obs_inertness_include(self):
-        self.assert_finding("src/serve/checkpoint.cc:1", "obs-inertness")
+        self.assert_finding("src/serve/framing.cc:1", "obs-inertness")
 
     def test_obs_inertness_symbol(self):
-        self.assert_finding("src/serve/checkpoint.cc:3", "obs-inertness")
+        self.assert_finding("src/serve/framing.cc:3", "obs-inertness")
 
     def test_obs_inertness_comment_exempt(self):
         flagged = [f for f in self.findings
-                   if f.startswith("src/serve/checkpoint.cc:2:")]
+                   if f.startswith("src/serve/framing.cc:2:")]
         self.assertEqual(flagged, [],
                          "comment mentions of the metrics layer are prose, "
                          "not a dependency")
@@ -178,7 +179,7 @@ class FixtureTreeTest(unittest.TestCase):
         # misfires on the clean fixture files.
         seeded = ("bad_bytes.cc", "bad_tmp.cc", "orphan_test.cc",
                   "conc_test.cc", "ci.yml", "bad_dag.h", "bad_sync.h",
-                  "checkpoint.cc")
+                  "framing.cc")
         for f in self.findings:
             self.assertTrue(any(s in f for s in seeded),
                             f"unexpected finding: {f}")
